@@ -10,12 +10,18 @@
  *
  * Design points:
  *  - power-of-two capacity, linear probing, max load factor 1/2;
- *  - keys and values live in separate arrays: the mapped values here
- *    are large (64 B blocks, counter structs), so probing a combined
- *    key+value array would stride over mostly-cold value bytes.
- *    Probes touch only the occupancy bitmap and the dense key array
- *    (8 keys per cache line); exactly one value line is read on a
- *    hit;
+ *  - slots hold only the key and a 32-bit index into a dense value
+ *    array (an index sentinel marks an empty slot). Probes touch only
+ *    the slot arrays (8 keys per cache line) and a hit reads one
+ *    value line, as with a value per slot; but the mapped values here
+ *    are large (64 B blocks, counter structs) and at most half the
+ *    slots are live, so storing values densely instead of one per
+ *    slot cuts a map's resident memory by a third or more. That
+ *    matters because these maps hold most of a simulated System's
+ *    heap and the sweep runs one System per worker at a time.
+ *    The dense array is reserved to the max-load size at each rehash,
+ *    so values move only on rehash and on erase (which moves the last
+ *    value into the gap);
  *  - backward-shift deletion (no tombstones, so probe chains never
  *    degrade);
  *  - a SplitMix64-style finalizer as the default hasher, because the
@@ -39,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -110,7 +117,8 @@ class FlatMap
         Ref<ValueT>
         operator*() const
         {
-            return {map_->keys_[slot_], map_->values_[slot_]};
+            return {map_->keys_[slot_],
+                    map_->values_[map_->index_[slot_]]};
         }
 
         /** Keeps the proxy alive for the full it->second expression. */
@@ -143,7 +151,7 @@ class FlatMap
         skipEmpty()
         {
             while (slot_ < map_->keys_.size() &&
-                   !map_->occupied_[slot_])
+                   map_->index_[slot_] == kEmpty)
                 ++slot_;
         }
 
@@ -159,16 +167,16 @@ class FlatMap
     const_iterator begin() const { return {this, 0}; }
     const_iterator end() const { return {this, keys_.size()}; }
 
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return values_.size(); }
+    bool empty() const { return values_.empty(); }
 
     void
     clear()
     {
         keys_.clear();
+        index_.clear();
         values_.clear();
-        occupied_.clear();
-        size_ = 0;
+        slotOf_.clear();
     }
 
     iterator
@@ -189,43 +197,44 @@ class FlatMap
 
     /**
      * Insert a value-initialized entry for @p key if absent.
+     * References to values stay valid until the next insert that
+     * grows the table or the next erase.
      * @return {iterator to the entry, true iff it was inserted}.
      */
     std::pair<iterator, bool>
     try_emplace(const K &key)
     {
         reserveOne();
-        std::size_t slot = probeFor(key);
-        if (occupied_[slot])
+        const std::size_t slot = probeFor(key);
+        if (index_[slot] != kEmpty)
             return {iterator{this, slot}, false};
-        occupied_[slot] = true;
-        // Unoccupied slots always hold value-initialized entries
-        // (vector growth value-initializes, erase re-initializes the
-        // vacated slot), so only the key needs storing here.
         keys_[slot] = key;
-        ++size_;
+        index_[slot] = static_cast<std::uint32_t>(values_.size());
+        values_.emplace_back();
+        slotOf_.push_back(static_cast<std::uint32_t>(slot));
         return {iterator{this, slot}, true};
     }
 
     V &
     operator[](const K &key)
     {
-        return values_[try_emplace(key).first.slot_];
+        return values_[index_[try_emplace(key).first.slot_]];
     }
 
     /** Remove @p key; returns the number of entries removed (0/1). */
     std::size_t
     erase(const K &key)
     {
-        std::size_t slot = findSlot(key);
+        const std::size_t slot = findSlot(key);
         if (slot == kNone)
             return 0;
+        const std::uint32_t gone = index_[slot];
         // Backward-shift deletion: pull every displaced follower of
         // the probe chain one slot toward its home bucket.
         const std::size_t mask = keys_.size() - 1;
         std::size_t hole = slot;
         std::size_t next = (hole + 1) & mask;
-        while (occupied_[next]) {
+        while (index_[next] != kEmpty) {
             const std::size_t home =
                 static_cast<std::size_t>(Hash{}(keys_[next])) & mask;
             // The entry may move iff the hole lies within its probe
@@ -234,21 +243,31 @@ class FlatMap
             const std::size_t dist_home_hole = (hole - home) & mask;
             if (dist_home_hole <= dist_home_next) {
                 keys_[hole] = keys_[next];
-                values_[hole] = std::move(values_[next]);
+                index_[hole] = index_[next];
+                slotOf_[index_[hole]] = static_cast<std::uint32_t>(hole);
                 hole = next;
             }
             next = (next + 1) & mask;
         }
-        occupied_[hole] = false;
-        keys_[hole] = K();
-        values_[hole] = V();
-        --size_;
+        index_[hole] = kEmpty;
+
+        // Keep the values dense: the last one fills the gap.
+        const std::uint32_t last =
+            static_cast<std::uint32_t>(values_.size() - 1);
+        if (gone != last) {
+            values_[gone] = std::move(values_[last]);
+            slotOf_[gone] = slotOf_[last];
+            index_[slotOf_[gone]] = gone;
+        }
+        values_.pop_back();
+        slotOf_.pop_back();
         return 1;
     }
 
   private:
     static constexpr std::size_t kNone = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
     /** Slot of @p key, or kNone; capacity may be zero. */
     std::size_t
@@ -258,7 +277,7 @@ class FlatMap
             return kNone;
         const std::size_t mask = keys_.size() - 1;
         std::size_t slot = static_cast<std::size_t>(Hash{}(key)) & mask;
-        while (occupied_[slot]) {
+        while (index_[slot] != kEmpty) {
             if (keys_[slot] == key)
                 return slot;
             slot = (slot + 1) & mask;
@@ -272,43 +291,54 @@ class FlatMap
     {
         const std::size_t mask = keys_.size() - 1;
         std::size_t slot = static_cast<std::size_t>(Hash{}(key)) & mask;
-        while (occupied_[slot] && keys_[slot] != key)
+        while (index_[slot] != kEmpty && keys_[slot] != key)
             slot = (slot + 1) & mask;
         return slot;
     }
 
-    /** Grow so one more entry keeps the load factor at most 1/2. */
+    /**
+     * Grow so one more entry keeps the load factor at most 1/2, and
+     * reserve the dense arrays to that load so inserts up to the next
+     * growth never reallocate them.
+     */
     void
     reserveOne()
     {
         if (keys_.empty()) {
             keys_.resize(kMinCapacity);
-            values_.resize(kMinCapacity);
-            occupied_.assign(kMinCapacity, false);
+            index_.assign(kMinCapacity, kEmpty);
+            values_.reserve(kMinCapacity / 2);
+            slotOf_.reserve(kMinCapacity / 2);
             return;
         }
-        if ((size_ + 1) * 2 <= keys_.size())
+        if ((size() + 1) * 2 <= keys_.size())
             return;
-        std::vector<K> old_keys(keys_.size() * 2);
-        std::vector<V> old_values(old_keys.size());
-        std::vector<bool> old_occupied(old_keys.size(), false);
+        const std::size_t capacity = keys_.size() * 2;
+        // Slot numbers and value indices must fit the 32-bit fields.
+        if (capacity > kEmpty)
+            throw std::length_error("FlatMap slots overflow 32 bits");
+        std::vector<K> old_keys(capacity);
+        std::vector<std::uint32_t> old_index(capacity, kEmpty);
         old_keys.swap(keys_);
-        old_values.swap(values_);
-        old_occupied.swap(occupied_);
+        old_index.swap(index_);
+        values_.reserve(capacity / 2);
+        slotOf_.reserve(capacity / 2);
         for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (!old_occupied[i])
+            if (old_index[i] == kEmpty)
                 continue;
             const std::size_t slot = probeFor(old_keys[i]);
-            occupied_[slot] = true;
             keys_[slot] = old_keys[i];
-            values_[slot] = std::move(old_values[i]);
+            index_[slot] = old_index[i];
+            slotOf_[old_index[i]] = static_cast<std::uint32_t>(slot);
         }
     }
 
+    /** Per slot: the key, and its value's index or kEmpty. */
     std::vector<K> keys_;
+    std::vector<std::uint32_t> index_;
+    /** Dense, one per entry: the value and the slot that owns it. */
     std::vector<V> values_;
-    std::vector<bool> occupied_;
-    std::size_t size_ = 0;
+    std::vector<std::uint32_t> slotOf_;
 };
 
 } // namespace amnt

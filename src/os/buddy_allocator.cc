@@ -101,6 +101,12 @@ BuddyAllocator::free(PageId frame, unsigned order)
     charge(costs_.freeBase);
     if (frame >= frames_)
         panic("free of frame beyond memory");
+    if (order > maxOrder_)
+        panic("free of order %u above max order %u", order, maxOrder_);
+    if ((frame & ((1ull << order) - 1)) != 0)
+        panic("free of misaligned order-%u chunk", order);
+    if (frame + (1ull << order) > frames_)
+        panic("free of chunk running past memory");
 
     // Only the newly returned frames change the free count; buddies
     // absorbed during coalescing were already counted.
@@ -138,9 +144,12 @@ BuddyAllocator::ageSystem(Rng &rng, double free_fraction,
                           std::uint64_t run_pages)
 {
     aging_ = true;
-    // Drain everything as single frames.
-    while (allocPage())
-        ;
+    // Allocate everything: draining frame by frame always ends with
+    // no free chunk, so drop the lists outright.
+    for (auto &lst : freeLists_)
+        lst.clear();
+    index_.clear();
+    freeFrames_ = 0;
 
     // Shuffle run order, then free whole runs (or pin them).
     std::vector<PageId> runs;
@@ -153,8 +162,25 @@ BuddyAllocator::ageSystem(Rng &rng, double free_fraction,
         if (!rng.chance(free_fraction))
             continue; // pinned: some resident daemon keeps it
         const PageId end = std::min(start + run_pages, frames_);
-        for (PageId f = start; f < end; ++f)
-            freePage(f);
+        // Free the run as its maximal aligned chunks, ascending. This
+        // leaves the same lists, in the same order, as freeing its
+        // pages one by one: until a chunk's last page is freed, its
+        // pieces merge only with each other (every buddy below the
+        // chunk's order lies inside it), and each piece pushed is
+        // later removed, which leaves every other list entry in
+        // place. The last page then completes the chunk and merges
+        // outward with the same removes and the same push_front as
+        // free(chunk, order).
+        PageId f = start;
+        while (f < end) {
+            unsigned order = 0;
+            while (order < maxOrder_ &&
+                   (f & ((2ull << order) - 1)) == 0 &&
+                   f + (2ull << order) <= end)
+                ++order;
+            free(f, order);
+            f += 1ull << order;
+        }
     }
 
     // Aging is environment setup, not measured OS work.

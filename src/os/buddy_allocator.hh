@@ -62,7 +62,11 @@ class BuddyAllocator
     /** Allocate a 2^order-aligned chunk; returns its first frame. */
     virtual std::optional<PageId> alloc(unsigned order);
 
-    /** Return a chunk to the allocator (coalescing with buddies). */
+    /**
+     * Return a chunk to the allocator (coalescing with buddies).
+     * Panics unless @p order is at most the max order and the chunk
+     * is 2^order-aligned and lies inside memory.
+     */
     void free(PageId frame, unsigned order);
 
     /** Free a single page frame. */
@@ -89,6 +93,12 @@ class BuddyAllocator
      * does on real systems, where reclamation returns whole
      * mappings) but successive allocations can jump across memory,
      * which is the scatter AMNT++'s biased lists repair.
+     *
+     * Costs O(runs + free chunks), not O(frames): each freed run is
+     * returned as its maximal aligned chunks, which leaves the same
+     * free lists, in the same order, as allocating every frame and
+     * freeing the run page by page, and draws the same random
+     * numbers.
      */
     void ageSystem(Rng &rng, double free_fraction = 0.7,
                    std::uint64_t run_pages = 8192);

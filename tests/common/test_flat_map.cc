@@ -138,42 +138,62 @@ TEST(FlatMap, BackwardShiftKeepsCollisionRunsReachable)
     }
 }
 
+/** Every live key is visited exactly once, holding its value. */
+void
+expectIterationMatches(
+    const FlatMap<std::uint64_t, std::uint64_t> &map,
+    const std::unordered_map<std::uint64_t, std::uint64_t> &ref)
+{
+    std::unordered_map<std::uint64_t, int> visits;
+    for (const auto &kv : map) {
+        ++visits[kv.first];
+        auto rit = ref.find(kv.first);
+        ASSERT_NE(rit, ref.end()) << "dead key " << kv.first;
+        ASSERT_EQ(kv.second, rit->second) << "key " << kv.first;
+    }
+    ASSERT_EQ(visits.size(), ref.size());
+    for (const auto &kv : visits)
+        ASSERT_EQ(kv.second, 1) << "key " << kv.first;
+}
+
 TEST(FlatMap, RandomizedParityWithUnorderedMap)
 {
     FlatMap<std::uint64_t, std::uint64_t> map;
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
     Rng rng(12345);
 
-    for (int step = 0; step < 200'000; ++step) {
-        // Block-aligned keys from a small space: plenty of erase hits
-        // and re-inserts of previously deleted slots.
-        const std::uint64_t key = rng.below(4096) * kBlockSize;
-        switch (rng.below(4)) {
-        case 0:
-        case 1: { // insert / overwrite
-            const std::uint64_t value = rng.next();
-            map[key] = value;
-            ref[key] = value;
-            break;
-        }
-        case 2: { // erase
-            EXPECT_EQ(map.erase(key), ref.erase(key) != 0);
-            break;
-        }
-        default: { // lookup
-            auto it = map.find(key);
-            auto rit = ref.find(key);
-            ASSERT_EQ(it != map.end(), rit != ref.end());
-            if (rit != ref.end()) {
-                ASSERT_EQ(it->second, rit->second);
+    // Phases alternate between insert-heavy and erase-heavy mixes, so
+    // the map repeatedly grows, drains (moving values to fill erased
+    // gaps) and refills; each phase ends with a full iteration.
+    for (int phase = 0; phase < 20; ++phase) {
+        const bool erase_heavy = phase % 2 == 1;
+        for (int step = 0; step < 10'000; ++step) {
+            // Block-aligned keys from a small space: plenty of erase
+            // hits and re-inserts of previously deleted slots.
+            const std::uint64_t key = rng.below(4096) * kBlockSize;
+            const std::uint64_t op = rng.below(8);
+            if (op < (erase_heavy ? 1u : 4u)) { // insert / overwrite
+                const std::uint64_t value = rng.next();
+                map[key] = value;
+                ref[key] = value;
+            } else if (op < 6) { // erase
+                EXPECT_EQ(map.erase(key), ref.erase(key) != 0);
+            } else { // lookup
+                auto it = map.find(key);
+                auto rit = ref.find(key);
+                ASSERT_EQ(it != map.end(), rit != ref.end());
+                if (rit != ref.end()) {
+                    ASSERT_EQ(it->second, rit->second);
+                }
             }
-            break;
+            ASSERT_EQ(map.size(), ref.size());
         }
-        }
-        ASSERT_EQ(map.size(), ref.size());
+        expectIterationMatches(map, ref);
+        if (HasFatalFailure())
+            return;
     }
 
-    // Full-content comparison at the end, via iteration.
+    // Full-content comparison at the end, via range construction.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> got(
         map.begin(), map.end());
     std::sort(got.begin(), got.end());
@@ -181,6 +201,44 @@ TEST(FlatMap, RandomizedParityWithUnorderedMap)
         ref.begin(), ref.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want);
+}
+
+TEST(FlatMap, ReferencesSurviveInsertsWithoutGrowth)
+{
+    // Capacity starts at 16 slots and doubles whenever an insert
+    // would push the load past 1/2, so a map of n entries can take
+    // inserts up to half its capacity without growing.
+    for (std::uint64_t n : {1u, 9u, 100u, 1000u}) {
+        FlatMap<std::uint64_t, std::uint64_t> map;
+        for (std::uint64_t k = 0; k < n; ++k)
+            map[k * kBlockSize] = k;
+        std::uint64_t capacity = 16;
+        while (n * 2 > capacity)
+            capacity *= 2;
+
+        // References to existing and to fresh entries, alternating
+        // operator[] and try_emplace.
+        std::vector<const std::uint64_t *> addr;
+        for (std::uint64_t k = 0; k < capacity / 2; ++k) {
+            std::uint64_t *v = nullptr;
+            if (k % 2 == 0) {
+                v = &map[k * kBlockSize];
+            } else {
+                auto [it, fresh] = map.try_emplace(k * kBlockSize);
+                EXPECT_EQ(fresh, k >= n);
+                v = &it->second;
+            }
+            *v = k;
+            addr.push_back(v);
+        }
+        ASSERT_EQ(map.size(), capacity / 2);
+        for (std::uint64_t k = 0; k < capacity / 2; ++k) {
+            auto it = map.find(k * kBlockSize);
+            ASSERT_NE(it, map.end());
+            EXPECT_EQ(&it->second, addr[k]) << "n=" << n << " k=" << k;
+            EXPECT_EQ(*addr[k], k);
+        }
+    }
 }
 
 } // namespace
