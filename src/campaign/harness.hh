@@ -2,8 +2,9 @@
  * @file
  * Internal plumbing shared by the campaign suites: an engine-level
  * driver (one NvmDevice + FaultDomain + MemoryEngine per protocol
- * row, in the style of fault/crash_schedule.cc's Harness) plus the
- * deterministic write-pattern and per-protocol seed helpers.
+ * row, like the flat-engine target of the crash oracle's harness in
+ * fault/crash_schedule.cc) plus the deterministic write-pattern and
+ * per-protocol seed helpers.
  */
 
 #ifndef AMNT_CAMPAIGN_HARNESS_HH

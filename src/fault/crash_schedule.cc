@@ -1,7 +1,10 @@
 #include "fault/crash_schedule.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -9,6 +12,7 @@
 #include "core/amnt.hh"
 #include "core/hybrid.hh"
 #include "fault/fault.hh"
+#include "shard/sharded_engine.hh"
 
 namespace amnt::fault
 {
@@ -45,12 +49,24 @@ makeWorkload(const ScheduleConfig &cfg)
     if (cfg.blocksPerPage == 0 || cfg.blocksPerPage > kBlocksPerPage)
         panic("crash-schedule blocksPerPage outside [1, %u]",
               static_cast<unsigned>(kBlocksPerPage));
+    if (cfg.hybrid && cfg.slices > 0)
+        panic("crash-schedule hybrid target cannot be sharded "
+              "(slices=%u)", cfg.slices);
+    // A sharded target spreads the footprint pages evenly across the
+    // WHOLE data range so every slice sees traffic — a contiguous low
+    // footprint would leave all but slice 0 idle and the torn cases
+    // untested. Unsharded targets keep the contiguous footprint.
+    const std::uint64_t spread =
+        cfg.slices == 0 ? 1
+                        : std::max<std::uint64_t>(
+                              1, cfg.mee.dataBytes / kPageSize /
+                                     cfg.pages);
     Rng rng(cfg.workloadSeed);
     std::vector<Op> ops(cfg.workloadOps);
     for (unsigned i = 0; i < cfg.workloadOps; ++i) {
         Op &op = ops[i];
         op.isWrite = rng.chance(cfg.writeFraction);
-        op.addr = rng.below(cfg.pages) * kPageSize +
+        op.addr = rng.below(cfg.pages) * spread * kPageSize +
                   rng.below(cfg.blocksPerPage) * kBlockSize;
         op.pattern = rng.next();
         // Hybrid machines interleave DRAM traffic: every fourth access
@@ -64,15 +80,56 @@ makeWorkload(const ScheduleConfig &cfg)
     return ops;
 }
 
-/** Uniform driver over a flat engine or the hybrid controller. */
+/** One persistent slice as the counter differential and tamper probe
+ *  see it. */
+struct SliceView
+{
+    mee::MemoryEngine *engine = nullptr;
+    mem::NvmDevice *device = nullptr;
+    std::uint64_t bytes = 0; ///< slice data bytes (reference geometry)
+};
+
+/**
+ * One harness over a flat engine, the hybrid controller or a
+ * sharded engine. It hides only what differs between targets: issue
+ * and flush, commit stamps, and the slice views.
+ *
+ * Commit stamps: stamp() is taken before each op and cutoff() after
+ * recovery; an op committed iff its stamp <= cutoff. On the sharded
+ * engine these are the open epoch and the committed epoch. Unsharded,
+ * the stamp is the 1-based op number and the cutoff ends at the last
+ * op whose commit group closed (see replay).
+ */
 class Harness
 {
+    /** Call @p f on whichever engine is the target (defined first:
+     *  its deduced return type must be known where it is used). */
+    template <class F>
+    decltype(auto)
+    dispatch(F &&f)
+    {
+        if (sharded_ != nullptr)
+            return f(*sharded_);
+        if (hybrid_ != nullptr)
+            return f(*hybrid_);
+        return f(*engine_);
+    }
+
   public:
     explicit Harness(const ScheduleConfig &cfg)
+        : dataBytes_(cfg.mee.dataBytes)
     {
         mee::MeeConfig m = cfg.mee;
         m.trackContents = true; // the oracle needs functional contents
-        if (cfg.hybrid) {
+        if (cfg.slices > 0) {
+            shard::ShardOptions so;
+            so.slices = cfg.slices;
+            so.lanes = 1; // injection forces serial drains anyway
+            so.epochWrites = cfg.epochWrites;
+            so.cores = 1;
+            sharded_ = std::make_unique<shard::ShardedEngine>(
+                cfg.protocol, m, so);
+        } else if (cfg.hybrid) {
             core::HybridConfig hc;
             hc.scmBytes = m.dataBytes;
             hc.dramBytes = m.dataBytes;
@@ -88,7 +145,9 @@ class Harness
     void
     attach(FaultDomain *domain)
     {
-        if (hybrid_ != nullptr)
+        if (sharded_ != nullptr)
+            sharded_->setFaultDomain(domain);
+        else if (hybrid_ != nullptr)
             hybrid_->setFaultDomain(domain);
         else
             nvm_->setFaultDomain(domain);
@@ -97,92 +156,141 @@ class Harness
     Cycle
     write(Addr addr, const std::uint8_t *data)
     {
-        return hybrid_ != nullptr ? hybrid_->write(addr, data)
-                                  : engine_->write(addr, data);
+        return dispatch([&](auto &e) { return e.write(addr, data); });
     }
 
     Cycle
-    read(Addr addr, std::uint8_t *out = nullptr)
+    read(Addr addr, std::uint8_t *out)
     {
-        return hybrid_ != nullptr ? hybrid_->read(addr, out)
-                                  : engine_->read(addr, out);
+        return dispatch([&](auto &e) { return e.read(addr, out); });
     }
 
-    void
-    crash()
-    {
-        if (hybrid_ != nullptr)
-            hybrid_->crash();
-        else
-            engine_->crash();
-    }
+    void crash() { dispatch([](auto &e) { e.crash(); }); }
 
     mee::RecoveryReport
     recover()
     {
-        return hybrid_ != nullptr ? hybrid_->recover()
-                                  : engine_->recover();
+        return dispatch([](auto &e) { return e.recover(); });
     }
 
     std::uint64_t
-    violations() const
+    violations()
     {
-        return hybrid_ != nullptr ? hybrid_->violations()
-                                  : engine_->violations();
+        return dispatch([](auto &e) { return e.violations(); });
     }
 
-    /** The persistent-side engine the oracle inspects. */
-    mee::MemoryEngine &
-    scmEngine()
+    /** End of workload: the sharded engine drains and commits its
+     *  open epoch (more boundaries); other targets have nothing. */
+    void
+    finish()
     {
-        return hybrid_ != nullptr
-                   ? static_cast<mee::MemoryEngine &>(hybrid_->scm())
-                   : *engine_;
+        if (sharded_ != nullptr)
+            sharded_->flush();
     }
 
-    /** The persistent-side device (tamper probes). */
-    mem::NvmDevice &
-    scmDevice()
+    std::uint64_t
+    stamp(std::size_t op) const
     {
-        return hybrid_ != nullptr ? hybrid_->scmDevice() : *nvm_;
+        return sharded_ != nullptr ? sharded_->currentEpoch() : op + 1;
+    }
+
+    /** The crash landed inside op @p op; @p closed: that op's commit
+     *  group closed before the boundary fired. */
+    void
+    interrupted(std::size_t op, bool closed)
+    {
+        opCutoff_ = closed ? op + 1 : op;
+    }
+
+    std::uint64_t
+    cutoff() const
+    {
+        return sharded_ != nullptr ? sharded_->committedEpoch()
+                                   : opCutoff_;
+    }
+
+    /** Slices rolled back to the committed epoch by recover(). */
+    std::uint64_t
+    tornSlices() const
+    {
+        return sharded_ != nullptr
+                   ? sharded_->stats().get("torn_epochs_rolled_back")
+                   : 0;
+    }
+
+    /** The persistent slices: one identity slice unless sharded (the
+     *  hybrid target's slice is its SCM side). */
+    std::vector<SliceView>
+    slices()
+    {
+        if (sharded_ != nullptr) {
+            std::vector<SliceView> v;
+            for (unsigned s = 0; s < sharded_->sliceCount(); ++s)
+                v.push_back({&sharded_->shard(s).engine(),
+                             &sharded_->shard(s).device(),
+                             sharded_->partition().sliceBytes});
+            return v;
+        }
+        if (hybrid_ != nullptr)
+            return {{&hybrid_->scm(), &hybrid_->scmDevice(),
+                     dataBytes_}};
+        return {{engine_.get(), nvm_.get(), dataBytes_}};
+    }
+
+    /** (slice index, slice-local address) of a data address. */
+    std::pair<unsigned, Addr>
+    locate(Addr addr) const
+    {
+        if (sharded_ == nullptr)
+            return {0, addr};
+        const shard::Partition &part = sharded_->partition();
+        return {part.shardFor(addr), part.localAddr(addr)};
     }
 
   private:
+    std::uint64_t dataBytes_;
+    std::uint64_t opCutoff_ = 0;
     std::unique_ptr<mem::NvmDevice> nvm_;
     std::unique_ptr<mee::MemoryEngine> engine_;
     std::unique_ptr<core::HybridEngine> hybrid_;
+    std::unique_ptr<shard::ShardedEngine> sharded_;
 };
 
 /**
- * Replay @p ops until the armed boundary fires (or the workload ends,
- * which is also how the counting pass runs to completion).
- * @param committed Receives every SCM data write whose commit group
- *        closed before the crash, in program order.
+ * Replay @p ops, then the target's final flush, until the armed
+ * boundary fires (or the workload ends, which is also how the counting
+ * pass runs to completion).
+ * @param stamps Receives each op's commit stamp, taken BEFORE the
+ *        call because the issuing write itself may close an epoch.
+ *        Ops never issued keep ~0 so they can never read as committed.
  * @return true when the armed crash point fired.
  */
 bool
 replay(Harness &h, const FaultDomain &domain,
-       const std::vector<Op> &ops, std::vector<const Op *> &committed)
+       const std::vector<Op> &ops, std::vector<std::uint64_t> &stamps)
 {
-    for (const Op &op : ops) {
-        const std::uint64_t closed_before = domain.commitsClosed();
-        try {
+    stamps.assign(ops.size(), ~0ull);
+    std::size_t i = 0;
+    std::uint64_t closed_before = 0;
+    try {
+        for (; i < ops.size(); ++i) {
+            const Op &op = ops[i];
+            closed_before = domain.commitsClosed();
+            stamps[i] = h.stamp(i);
             if (op.isWrite)
                 h.write(op.addr, patternBlock(op.pattern).data());
             else
-                h.read(op.addr);
-        } catch (const CrashInjected &) {
-            // The in-flight op committed iff its commit group closed
-            // before the boundary fired — the crash then landed in
-            // the op's deferred postCommit work (stop-loss persists,
-            // path write-throughs, adaptation, movement).
-            if (op.isWrite && op.scm &&
-                domain.commitsClosed() > closed_before)
-                committed.push_back(&op);
-            return true;
+                h.read(op.addr, nullptr);
         }
-        if (op.isWrite && op.scm)
-            committed.push_back(&op);
+        h.finish();
+    } catch (const CrashInjected &) {
+        // The in-flight op committed iff its commit group closed
+        // before the boundary fired — the crash then landed in the
+        // op's deferred postCommit work (stop-loss persists, path
+        // write-throughs, adaptation, movement). The sharded cutoff
+        // ignores this: there only the commit record commits.
+        h.interrupted(i, domain.commitsClosed() > closed_before);
+        return true;
     }
     return false;
 }
@@ -200,13 +308,14 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     h.attach(&domain);
     domain.arm(point);
 
-    // Injection lifecycle on the engine's trace track: the armed
-    // boundary id (a1=1 distinguishes it from the organic Crash
+    // Injection lifecycle on the (first) engine's trace track: the
+    // armed boundary id (a1=1 distinguishes it from the organic Crash
     // instant the engine emits when the boundary actually fires).
-    h.scmEngine().tracer().instant(obs::EventClass::Crash, point, 1);
+    h.slices().front().engine->tracer().instant(obs::EventClass::Crash,
+                                                point, 1);
 
-    std::vector<const Op *> committed;
-    out.fired = replay(h, domain, ops, committed);
+    std::vector<std::uint64_t> stamps;
+    out.fired = replay(h, domain, ops, stamps);
     if (!out.fired) {
         out.detail = "armed boundary never fired: replay diverged "
                      "from the count pass";
@@ -217,28 +326,50 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     // recovery and the oracle's own persists run freely.
     h.crash();
     const mee::RecoveryReport rec = h.recover();
+    out.tornSlices = h.tornSlices();
     out.recovered = rec.success;
     if (!out.recovered) {
         out.detail = "recovery failed (" + rec.detail + ")";
         return out;
     }
 
+    // Committed set, in program order: the SCM writes whose stamp is
+    // within the recovered cutoff. On a sharded target a torn epoch's
+    // writes — even on slices that finished draining — are NOT
+    // committed; the oracle below fails if any survived rollback.
+    const std::uint64_t cutoff = h.cutoff();
+    std::vector<std::size_t> committed;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].isWrite && ops[i].scm && stamps[i] <= cutoff)
+            committed.push_back(i);
+    }
+
+    // Epoch coalescing means the sharded engine applied only the LAST
+    // write per (epoch, block); earlier writes in the same epoch never
+    // reached the slice. The reference replays below must mirror
+    // that, or their counters would over-count coalesced writes. With
+    // one write per stamp (unsharded) this filter keeps every write.
+    std::map<std::pair<std::uint64_t, Addr>, std::size_t> last_in_stamp;
+    for (std::size_t i : committed)
+        last_in_stamp[{stamps[i], ops[i].addr}] = i;
+
     // Contents oracle: the last committed payload of every durably
     // committed block must decrypt bit-exactly, with zero violations.
     std::unordered_map<Addr, std::uint64_t> last;
-    for (const Op *op : committed)
-        last[op->addr] = op->pattern;
+    for (std::size_t i : committed)
+        last[ops[i].addr] = ops[i].pattern;
     out.contentsOk = true;
-    for (const Op *op : committed) {
-        if (last.at(op->addr) != op->pattern)
+    for (std::size_t i : committed) {
+        const Op &op = ops[i];
+        if (last.at(op.addr) != op.pattern)
             continue; // superseded by a later committed write
-        const mem::Block expect = patternBlock(op->pattern);
+        const mem::Block expect = patternBlock(op.pattern);
         mem::Block got{};
-        h.read(op->addr, got.data());
+        h.read(op.addr, got.data());
         if (got != expect) {
             out.contentsOk = false;
             out.detail = "committed block at address " +
-                         std::to_string(op->addr) +
+                         std::to_string(op.addr) +
                          " lost or corrupted after recovery";
             break;
         }
@@ -251,38 +382,51 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
     if (!out.contentsOk)
         return out;
 
-    // Counter differential: a Volatile reference engine replaying only
-    // the committed writes must agree with the recovered engine on
-    // every counter block (both directions, so neither lost nor
-    // phantom counters pass).
-    mee::MeeConfig ref_cfg = cfg.mee;
-    ref_cfg.trackContents = true;
-    mem::NvmDevice ref_nvm(
-        mem::MemoryMap(ref_cfg.dataBytes).deviceBytes());
-    const auto ref =
-        core::makeEngine(mee::Protocol::Volatile, ref_cfg, ref_nvm);
-    for (const Op *op : committed)
-        ref->write(op->addr, patternBlock(op->pattern).data());
+    // Counter differential, per slice: a Volatile reference engine at
+    // slice geometry replaying that slice's committed writes (after
+    // coalescing) must agree with the recovered slice on every counter
+    // block (both directions, so neither lost nor phantom counters
+    // pass).
+    const std::vector<SliceView> slices = h.slices();
     out.countersMatch = true;
-    const bmt::TreeState &want = ref->treeState();
-    const bmt::TreeState &have = h.scmEngine().treeState();
-    want.forEachCounter(
-        [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
-            if (have.counter(idx) != cb)
-                out.countersMatch = false;
-        });
-    have.forEachCounter(
-        [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
-            if (want.counter(idx) != cb)
-                out.countersMatch = false;
-        });
+    for (unsigned s = 0; s < slices.size() && out.countersMatch; ++s) {
+        mee::MeeConfig ref_cfg = cfg.mee;
+        ref_cfg.trackContents = true;
+        ref_cfg.dataBytes = slices[s].bytes;
+        mem::NvmDevice ref_nvm(
+            mem::MemoryMap(ref_cfg.dataBytes).deviceBytes());
+        const auto ref = core::makeEngine(mee::Protocol::Volatile,
+                                          ref_cfg, ref_nvm);
+        for (std::size_t i : committed) {
+            const Op &op = ops[i];
+            const auto [slice, local] = h.locate(op.addr);
+            if (slice != s)
+                continue;
+            if (last_in_stamp.at({stamps[i], op.addr}) != i)
+                continue; // coalesced into a later same-epoch write
+            ref->write(local, patternBlock(op.pattern).data());
+        }
+        const bmt::TreeState &want = ref->treeState();
+        const bmt::TreeState &have = slices[s].engine->treeState();
+        want.forEachCounter(
+            [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
+                if (have.counter(idx) != cb)
+                    out.countersMatch = false;
+            });
+        have.forEachCounter(
+            [&](std::uint64_t idx, const bmt::CounterBlock &cb) {
+                if (want.counter(idx) != cb)
+                    out.countersMatch = false;
+            });
+    }
     if (!out.countersMatch) {
         out.detail = "recovered counters diverge from the committed-"
                      "write reference replay";
         return out;
     }
 
-    // Liveness: the recovered engine must accept and serve new writes.
+    // Liveness: the recovered engine must accept and serve new writes
+    // (a sharded functional read drains them synchronously).
     const Addr live_addr = 0;
     const mem::Block live = patternBlock(0x11fe ^ point);
     h.write(live_addr, live.data());
@@ -294,14 +438,17 @@ runOne(const ScheduleConfig &cfg, const std::vector<Op> &ops,
         return out;
     }
 
-    // Tamper probe: integrity detection must still be armed after
-    // recovery. Target the most recent committed block (or the
-    // liveness block when the crash preceded every write).
+    // Tamper probe: integrity detection must still be armed on the
+    // probed slice after recovery. Target the most recent committed
+    // block (or the liveness block when the crash preceded every
+    // write); the functional read forces the check.
     const Addr probe =
-        committed.empty() ? live_addr : committed.back()->addr;
+        committed.empty() ? live_addr : ops[committed.back()].addr;
+    const auto [probe_slice, probe_local] = h.locate(probe);
     const std::uint64_t viol_before = h.violations();
-    h.scmDevice().tamper(probe, 13, 0x40);
-    h.read(probe);
+    slices[probe_slice].device->tamper(probe_local, 13, 0x40);
+    mem::Block sink{};
+    h.read(probe, sink.data());
     out.tamperDetected = h.violations() > viol_before;
     if (!out.tamperDetected)
         out.detail = "post-recovery tamper of a committed block went "
@@ -347,14 +494,15 @@ runCrashSchedule(const ScheduleConfig &cfg)
     const std::vector<Op> ops = makeWorkload(cfg);
     ScheduleReport report;
 
-    // Count pass: enumerate every persist-op boundary once.
+    // Count pass: enumerate every boundary once — engine persist ops
+    // and, when sharded, each slice's drain fence and commit record.
     {
         Harness h(cfg);
         FaultDomain domain;
         h.attach(&domain);
         domain.startCounting();
-        std::vector<const Op *> committed;
-        replay(h, domain, ops, committed);
+        std::vector<std::uint64_t> stamps;
+        replay(h, domain, ops, stamps);
         report.totalBoundaries = domain.events();
     }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Exhaustive crash-point scheduling with a differential recovery
- * oracle.
+ * oracle — the one crash oracle for every engine target: a flat
+ * MemoryEngine, the HybridEngine, or a ShardedEngine (slices > 0).
  *
  * A CrashSchedule drives one engine configuration through a fixed,
  * seeded workload three ways:
@@ -20,10 +21,21 @@
  *    must decrypt bit-exactly, with zero integrity violations;
  *  - the recovered counter state must agree with a Volatile reference
  *    engine replaying only the committed writes (the cross-protocol
- *    agreement property of test_protocol_differential);
+ *    agreement property of test_protocol_differential), per slice;
  *  - a post-recovery tamper of a committed block must still be
  *    detected;
  *  - the engine must accept new writes (liveness).
+ *
+ * The sharded engine adds boundaries of its own: the fence after each
+ * slice's epoch drain and the cross-shard commit record's persist. A
+ * crash between a slice's drain and the record leaves the epoch TORN
+ * — some slices durably hold epoch N+1 state while the record still
+ * names epoch N — and recovery must roll every slice back to the last
+ * fully-committed epoch. There a write is committed iff its epoch's
+ * commit record persisted, so any torn slice must have rolled back
+ * cleanly for the contents oracle to hold. Boundary IDs stay
+ * deterministic because an attached fault domain forces serial
+ * slice-order drains.
  *
  * Subset scheduling: boundary k is tested iff k ≡ offset (mod
  * stride), with offset derived deterministically from sampleSeed via
@@ -54,9 +66,23 @@ struct ScheduleConfig
     bool hybrid = false;
 
     /**
+     * Drive a ShardedEngine with this many logical slices (each gets
+     * dataBytes / slices); 0 drives the bare engine. The sharded
+     * engine is flat SCM, so slices > 0 with hybrid panics.
+     */
+    unsigned slices = 0;
+
+    /**
+     * Buffered writes per epoch (sharded runs only). Small on
+     * purpose: the boundary stream must cross many epoch closes
+     * (drain fences + commit records), not just engine persist ops.
+     */
+    std::uint64_t epochWrites = 8;
+
+    /**
      * Engine geometry. trackContents is forced on (the oracle needs
      * functional contents); for hybrid runs dataBytes sizes each
-     * partition.
+     * partition, for sharded runs the WHOLE data range.
      */
     mee::MeeConfig mee;
 
@@ -86,7 +112,7 @@ struct BoundaryOutcome
 
     /**
      * Slices rolled back to the committed epoch during recovery
-     * (sharded schedules only; 0 on the per-engine matrix). Lets
+     * (sharded targets only; 0 on the per-engine matrix). Lets
      * coverage tests assert the boundary stream really contains
      * torn-epoch cases instead of only clean-commit crashes.
      */

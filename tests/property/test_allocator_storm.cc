@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -22,6 +23,14 @@ struct StormParams
     bool amntpp;
     std::uint64_t seed;
 };
+
+// Without this gtest prints the parameter as raw bytes, padding
+// included, so --gtest_list_tests output would differ run to run.
+void
+PrintTo(const StormParams &p, std::ostream *os)
+{
+    *os << (p.amntpp ? "amntpp" : "buddy") << " seed " << p.seed;
+}
 
 class AllocatorStorm : public ::testing::TestWithParam<StormParams>
 {
