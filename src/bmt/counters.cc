@@ -5,22 +5,45 @@
 namespace amnt::bmt
 {
 
+namespace
+{
+
+// The 64 seven-bit minors are one little-endian 448-bit string
+// (minor i at bits [7i, 7i + 7)) after the 8-byte major, so every 8
+// minors fill exactly 7 bytes: group g is the 56-bit word at byte
+// 8 + 7g. Each group moves as one 64-bit word based one byte earlier,
+// which keeps every access inside the 64-byte block; that word's low
+// byte belongs to the preceding field and passes through unchanged.
+constexpr std::size_t kMajorBytes = 8;
+constexpr unsigned kGroupMinors = 8;
+constexpr std::size_t kGroupBytes = kGroupMinors * kMinorCounterBits / 8;
+constexpr unsigned kGroups = kCounterArity / kGroupMinors;
+
+static_assert(kCounterArity % kGroupMinors == 0);
+static_assert(kMajorBytes + kGroups * kGroupBytes == kBlockSize);
+
+/** Start of the 64-bit word whose upper 7 bytes are group @p g. */
+constexpr std::size_t
+groupWordAt(unsigned g)
+{
+    return kMajorBytes - 1 + g * kGroupBytes;
+}
+
+} // namespace
+
 std::array<std::uint8_t, kBlockSize>
 CounterBlock::serialize() const
 {
     std::array<std::uint8_t, kBlockSize> out{};
     store64le(out.data(), major);
-    // Pack 64 seven-bit minors into the remaining 56 bytes.
-    std::size_t bitpos = 0;
-    std::uint8_t *base = out.data() + 8;
-    for (unsigned i = 0; i < kCounterArity; ++i) {
-        const std::uint32_t v = minors[i] & kMinorCounterMax;
-        const std::size_t byte = bitpos >> 3;
-        const unsigned shift = bitpos & 7;
-        base[byte] |= static_cast<std::uint8_t>(v << shift);
-        if (shift > 1)
-            base[byte + 1] |= static_cast<std::uint8_t>(v >> (8 - shift));
-        bitpos += kMinorCounterBits;
+    for (unsigned g = 0; g < kGroups; ++g) {
+        std::uint64_t word = 0;
+        for (unsigned k = 0; k < kGroupMinors; ++k)
+            word |= static_cast<std::uint64_t>(
+                        minors[g * kGroupMinors + k] & kMinorCounterMax)
+                    << (k * kMinorCounterBits);
+        std::uint8_t *p = out.data() + groupWordAt(g);
+        store64le(p, (word << 8) | p[0]);
     }
     return out;
 }
@@ -30,16 +53,11 @@ CounterBlock::deserialize(const std::array<std::uint8_t, kBlockSize> &raw)
 {
     CounterBlock cb;
     cb.major = load64le(raw.data());
-    std::size_t bitpos = 0;
-    const std::uint8_t *base = raw.data() + 8;
-    for (unsigned i = 0; i < kCounterArity; ++i) {
-        const std::size_t byte = bitpos >> 3;
-        const unsigned shift = bitpos & 7;
-        std::uint32_t v = base[byte] >> shift;
-        if (shift > 1)
-            v |= static_cast<std::uint32_t>(base[byte + 1]) << (8 - shift);
-        cb.minors[i] = static_cast<std::uint8_t>(v & kMinorCounterMax);
-        bitpos += kMinorCounterBits;
+    for (unsigned g = 0; g < kGroups; ++g) {
+        const std::uint64_t word = load64le(raw.data() + groupWordAt(g)) >> 8;
+        for (unsigned k = 0; k < kGroupMinors; ++k)
+            cb.minors[g * kGroupMinors + k] = static_cast<std::uint8_t>(
+                (word >> (k * kMinorCounterBits)) & kMinorCounterMax);
     }
     return cb;
 }

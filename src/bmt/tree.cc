@@ -102,28 +102,31 @@ TreeState::counterBytes(std::uint64_t idx) const
     return it == counterBytes_.end() ? kZeroBlock : it->second;
 }
 
-void
+const mem::Block &
 TreeState::setEntry(NodeRef ref, unsigned slot, std::uint64_t value)
 {
     // try_emplace value-initializes fresh blocks to all-zero.
-    auto it = nodes_.try_emplace(geo_->linearId(ref)).first;
-    store64le(it->second.data() + slot * kHashBytes, value);
+    mem::Block &node = nodes_.try_emplace(geo_->linearId(ref)).first->second;
+    store64le(node.data() + slot * kHashBytes, value);
+    return node;
 }
 
 void
-TreeState::updatePath(std::uint64_t idx)
+TreeState::updatePath(std::uint64_t idx, const mem::Block &bytes)
 {
-    const Geometry &geo = *geo_;
-    // Deepest node holds the counter hash.
-    NodeRef ref = geo.leafNodeOf(idx);
-    setEntry(ref, static_cast<unsigned>(idx % kTreeArity),
-             hashCounterBytes(idx, counterBytes(idx)));
-    // Propagate to the root.
-    while (ref.level > 1) {
-        const NodeRef parent = Geometry::parentOf(ref);
-        setEntry(parent, Geometry::slotOf(ref),
-                 hashNodeBytes(ref, node(ref)));
-        ref = parent;
+    // One insert-or-find per level, deepest node first: each node is
+    // hashed right after its entry is written, before the parent's
+    // insert may move nodes_' values.
+    NodeRef ref = geo_->leafNodeOf(idx);
+    unsigned slot = static_cast<unsigned>(idx % kTreeArity);
+    std::uint64_t entry = hashCounterBytes(idx, bytes);
+    while (true) {
+        const mem::Block &node = setEntry(ref, slot, entry);
+        if (ref.level == 1)
+            break;
+        entry = hashNodeBytes(ref, node);
+        slot = Geometry::slotOf(ref);
+        ref = Geometry::parentOf(ref);
     }
 }
 
@@ -131,8 +134,9 @@ void
 TreeState::setCounter(std::uint64_t idx, const CounterBlock &value)
 {
     counters_[idx] = value;
-    counterBytes_[idx] = value.serialize();
-    updatePath(idx);
+    mem::Block &bytes = counterBytes_[idx];
+    bytes = value.serialize();
+    updatePath(idx, bytes);
 }
 
 std::uint64_t

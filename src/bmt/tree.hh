@@ -106,11 +106,18 @@ class TreeState
     const Geometry &geometry() const { return *geo_; }
 
   private:
-    /** Recompute the parent-entry chain for counter @p idx. */
-    void updatePath(std::uint64_t idx);
+    /**
+     * Recompute the parent-entry chain for counter @p idx, whose
+     * serialized latest value is @p bytes.
+     */
+    void updatePath(std::uint64_t idx, const mem::Block &bytes);
 
-    /** Set entry @p slot of node @p ref to @p value. */
-    void setEntry(NodeRef ref, unsigned slot, std::uint64_t value);
+    /**
+     * Set entry @p slot of node @p ref to @p value; returns the node,
+     * valid only until the next insert into nodes_.
+     */
+    const mem::Block &setEntry(NodeRef ref, unsigned slot,
+                               std::uint64_t value);
 
     /** Device address of node @p ref (cached-layout fast path). */
     Addr

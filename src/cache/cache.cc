@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/log.hh"
 
@@ -19,7 +21,10 @@ Cache::Cache(const CacheConfig &config) : config_(config)
         panic("cache %s: set count %llu not a power of two",
               config.name.c_str(),
               static_cast<unsigned long long>(numSets_));
-    lines_.resize(numSets_ * config.ways);
+    const std::size_t n = numSets_ * config.ways;
+    tags_.assign(n, kInvalidTag);
+    lastUse_.assign(n, 0);
+    dirty_.assign(n, 0);
     hits_ = &stats_.counter("hits");
     misses_ = &stats_.counter("misses");
     fills_ = &stats_.counter("fills");
@@ -27,104 +32,138 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     dirtyEvictions_ = &stats_.counter("dirty_evictions");
 }
 
-std::uint64_t
-Cache::setOf(Addr addr) const
+std::size_t
+Cache::setBase(Addr addr) const
 {
-    return blockOf(addr) & (numSets_ - 1);
+    return (blockOf(addr) & (numSets_ - 1)) * config_.ways;
 }
 
-Cache::Line *
-Cache::find(Addr addr)
-{
-    const Addr tag = blockAddr(blockOf(addr));
-    Line *set = &lines_[setOf(addr) * config_.ways];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
+std::size_t
 Cache::find(Addr addr) const
 {
-    return const_cast<Cache *>(this)->find(addr);
+    const Addr tag = blockAddr(blockOf(addr));
+    const std::size_t base = setBase(addr);
+    const Addr *set = &tags_[base];
+    for (unsigned w = 0; w < config_.ways; ++w) {
+        if (set[w] == tag)
+            return base + w;
+    }
+    return kNone;
+}
+
+Cache::SetScan
+Cache::scan(Addr addr) const
+{
+    // Victim choice: the first empty way, else the least recently
+    // used one; the tag compare keeps running to the end of the set
+    // either way.
+    const Addr tag = blockAddr(blockOf(addr));
+    const std::size_t base = setBase(addr);
+    std::size_t victim = base;
+    bool empty_found = false;
+    for (std::size_t i = base; i < base + config_.ways; ++i) {
+        const Addr t = tags_[i];
+        if (t == tag)
+            return {i, true};
+        if (empty_found)
+            continue;
+        if (t == kInvalidTag) {
+            victim = i;
+            empty_found = true;
+        } else if (lastUse_[i] < lastUse_[victim]) {
+            victim = i;
+        }
+    }
+    return {victim, false};
+}
+
+void
+Cache::touch(std::size_t line, bool set_dirty)
+{
+    ++*hits_;
+    lastUse_[line] = ++useClock_;
+    if (set_dirty && dirty_[line] == 0) {
+        dirty_[line] = 1;
+        ++dirtyLines_;
+    }
 }
 
 bool
 Cache::access(Addr addr, bool set_dirty)
 {
-    Line *line = find(addr);
-    if (line == nullptr) {
+    const std::size_t line = find(addr);
+    if (line == kNone) {
         ++*misses_;
         return false;
     }
-    ++*hits_;
-    line->lastUse = ++useClock_;
-    if (set_dirty && !line->dirty) {
-        line->dirty = true;
-        ++dirtyLines_;
-    }
+    touch(line, set_dirty);
     return true;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return find(addr) != kNone;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const Line *line = find(addr);
-    return line != nullptr && line->dirty;
+    const std::size_t line = find(addr);
+    return line != kNone && dirty_[line] != 0;
+}
+
+AccessResult
+Cache::fillLine(std::size_t line, Addr addr, bool dirty)
+{
+    AccessResult result;
+    if (tags_[line] != kInvalidTag) {
+        result.evictedValid = true;
+        result.evictedDirty = dirty_[line] != 0;
+        result.evictedAddr = tags_[line];
+        ++*evictions_;
+        if (result.evictedDirty) {
+            ++*dirtyEvictions_;
+            --dirtyLines_;
+        }
+    }
+    tags_[line] = blockAddr(blockOf(addr));
+    dirty_[line] = dirty ? 1 : 0;
+    if (dirty)
+        ++dirtyLines_;
+    lastUse_[line] = ++useClock_;
+    ++*fills_;
+    return result;
 }
 
 AccessResult
 Cache::insert(Addr addr, bool dirty)
 {
-    if (find(addr) != nullptr)
+    const SetScan s = scan(addr);
+    if (s.hit)
         panic("cache %s: insert of resident block", config_.name.c_str());
+    return fillLine(s.line, addr, dirty);
+}
 
-    Line *set = &lines_[setOf(addr) * config_.ways];
-    Line *victim = &set[0];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-
-    AccessResult result;
-    if (victim->valid) {
-        result.evictedValid = true;
-        result.evictedDirty = victim->dirty;
-        result.evictedAddr = victim->tag;
-        ++*evictions_;
-        if (victim->dirty) {
-            ++*dirtyEvictions_;
-            --dirtyLines_;
-        }
-    }
-    victim->tag = blockAddr(blockOf(addr));
-    victim->valid = true;
-    victim->dirty = dirty;
+AccessResult
+Cache::install(Addr addr, bool dirty)
+{
+    const SetScan s = scan(addr);
+    if (!s.hit)
+        return fillLine(s.line, addr, dirty);
     if (dirty)
-        ++dirtyLines_;
-    victim->lastUse = ++useClock_;
-    ++*fills_;
+        touch(s.line, true);
+    AccessResult result;
+    result.hit = true;
     return result;
 }
 
 void
 Cache::clean(Addr addr)
 {
-    Line *line = find(addr);
-    if (line != nullptr && line->dirty) {
-        line->dirty = false;
+    const std::size_t line = find(addr);
+    if (line != kNone && dirty_[line] != 0) {
+        dirty_[line] = 0;
         --dirtyLines_;
     }
 }
@@ -132,48 +171,23 @@ Cache::clean(Addr addr)
 bool
 Cache::invalidate(Addr addr)
 {
-    Line *line = find(addr);
-    if (line == nullptr)
+    const std::size_t line = find(addr);
+    if (line == kNone)
         return false;
-    const bool was_dirty = line->dirty;
+    const bool was_dirty = dirty_[line] != 0;
     if (was_dirty)
         --dirtyLines_;
-    line->valid = false;
-    line->dirty = false;
+    tags_[line] = kInvalidTag;
+    dirty_[line] = 0;
     return was_dirty;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
     dirtyLines_ = 0;
-}
-
-void
-Cache::forEachLine(const std::function<void(Addr, bool)> &visitor) const
-{
-    for (const auto &line : lines_) {
-        if (line.valid)
-            visitor(line.tag, line.dirty);
-    }
-}
-
-std::uint64_t
-Cache::cleanIf(const std::function<bool(Addr)> &pred)
-{
-    std::uint64_t cleaned = 0;
-    for (auto &line : lines_) {
-        if (line.valid && line.dirty && pred(line.tag)) {
-            line.dirty = false;
-            --dirtyLines_;
-            ++cleaned;
-        }
-    }
-    return cleaned;
 }
 
 } // namespace amnt::cache

@@ -8,13 +8,18 @@
  * that own the cache, which keeps the same class usable by the
  * content-free timing plane and the functional plane. Eviction of a
  * dirty line invokes a caller-provided write-back handler.
+ *
+ * Storage is structure-of-arrays: each set's tags are contiguous (an
+ * empty way holds a sentinel that no block-aligned address equals, so
+ * a lookup is one compare per way), with LRU stamps and dirty bits in
+ * parallel arrays that only hits, fills and scans touch.
  */
 
 #ifndef AMNT_CACHE_CACHE_HH
 #define AMNT_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,11 +89,20 @@ class Cache
     bool isDirty(Addr addr) const;
 
     /**
-     * Allocate a line for @p addr (must not currently hit). The LRU
-     * way of the set is the victim; its identity is reported in the
-     * result so the owner can write back content.
+     * Allocate a line for @p addr (must not currently hit). The first
+     * empty way of the set, else its LRU way, is the victim; its
+     * identity is reported in the result so the owner can write back
+     * content.
      */
     AccessResult insert(Addr addr, bool dirty);
+
+    /**
+     * Fill from an upper level: insert(@p addr, @p dirty) when absent.
+     * A resident line reports hit; a dirty fill then updates it as
+     * access(addr, true) would, and a clean fill leaves it untouched.
+     * One pass over the set either way.
+     */
+    AccessResult install(Addr addr, bool dirty);
 
     /** Clear the dirty bit of a resident line (write-through commit). */
     void clean(Addr addr);
@@ -100,14 +114,34 @@ class Cache
     void invalidateAll();
 
     /**
-     * Visit every valid line: visitor(addr, dirty). Iteration order is
-     * unspecified. Used by AMNT's subtree-movement dirty scan.
+     * Visit every valid line: visitor(addr, dirty), in line order.
+     * Used by AMNT's subtree-movement and Phoenix's epoch dirty scans.
      */
-    void forEachLine(
-        const std::function<void(Addr, bool)> &visitor) const;
+    template <typename Visitor>
+    void
+    forEachLine(Visitor &&visitor) const
+    {
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kInvalidTag)
+                visitor(tags_[i], dirty_[i] != 0);
+        }
+    }
 
     /** Clear dirty bits that @p pred selects; returns count cleaned. */
-    std::uint64_t cleanIf(const std::function<bool(Addr)> &pred);
+    template <typename Pred>
+    std::uint64_t
+    cleanIf(Pred &&pred)
+    {
+        std::uint64_t cleaned = 0;
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (dirty_[i] != 0 && pred(tags_[i])) {
+                dirty_[i] = 0;
+                --dirtyLines_;
+                ++cleaned;
+            }
+        }
+        return cleaned;
+    }
 
     /** Statistics: hits, misses, evictions, dirty evictions. */
     const StatGroup &stats() const { return stats_; }
@@ -123,21 +157,34 @@ class Cache
     }
 
   private:
-    struct Line
+    /** Tag of an empty way: never a block-aligned address. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    /** find() result for an absent block. */
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** One pass over a set: the block's way, or the victim way. */
+    struct SetScan
     {
-        Addr tag = 0; ///< block-aligned address
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
+        std::size_t line;
+        bool hit;
     };
 
-    std::uint64_t setOf(Addr addr) const;
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
+    /** Index of the first line of @p addr's set. */
+    std::size_t setBase(Addr addr) const;
+    /** Line index holding @p addr, or kNone. */
+    std::size_t find(Addr addr) const;
+    SetScan scan(Addr addr) const;
+    /** Hit bookkeeping: count, refresh LRU, optionally set dirty. */
+    void touch(std::size_t line, bool set_dirty);
+    /** Displace line @p line's occupant (if any) with @p addr. */
+    AccessResult fillLine(std::size_t line, Addr addr, bool dirty);
 
     CacheConfig config_;
     std::uint64_t numSets_;
-    std::vector<Line> lines_;
+    // Per line, indexed set * ways + way.
+    std::vector<Addr> tags_;                 ///< kInvalidTag when empty
+    std::vector<std::uint64_t> lastUse_;     ///< LRU stamp
+    std::vector<std::uint8_t> dirty_;        ///< 0/1; 0 when empty
     std::uint64_t useClock_ = 0;
     std::uint64_t dirtyLines_ = 0;
     StatGroup stats_;

@@ -28,13 +28,9 @@ CacheHierarchy::installAt(std::size_t level, Addr addr, bool dirty)
         }
         return 0;
     }
-    Cache *c = path_[level];
-    if (c->contains(addr)) {
-        if (dirty)
-            c->access(addr, true);
-        return 0;
-    }
-    const AccessResult res = c->insert(addr, dirty);
+    // A resident line absorbs a dirty victim (install() updates it as
+    // a dirty hit); only a real fill can displace another block.
+    const AccessResult res = path_[level]->install(addr, dirty);
     if (res.evictedValid)
         return installAt(level + 1, res.evictedAddr, res.evictedDirty);
     return 0;

@@ -90,6 +90,31 @@ class StatGroup
 };
 
 /**
+ * A StatGroup counter resolved on its first bump. A per-event stat
+ * that may never fire cannot be resolved through counter() up front:
+ * that creates the key, and a stat that never fired is absent from
+ * dumps. After the first bump, bumps skip the string-keyed lookup.
+ * Always bump with the same group.
+ */
+class LazyCounter
+{
+  public:
+    explicit LazyCounter(const char *name) : name_(name) {}
+
+    void
+    add(StatGroup &group, std::uint64_t delta = 1)
+    {
+        if (slot_ == nullptr)
+            slot_ = &group.counter(name_);
+        *slot_ += delta;
+    }
+
+  private:
+    const char *name_;
+    std::uint64_t *slot_ = nullptr;
+};
+
+/**
  * Fixed-bin histogram over [lo, hi) with percentile queries.
  *
  * Bins are uniform either in the value (Scale::Linear) or in its

@@ -136,7 +136,7 @@ AmntStrategy::considerMovement()
 void
 AmntStrategy::moveSubtreeTo(std::uint64_t new_region)
 {
-    stats().inc("subtree_movements");
+    subtreeMovements_.add(stats());
     trace().begin(obs::EventClass::SubtreeMove, new_region);
 
     // All inner nodes of the outgoing subtree must persist before the
@@ -150,8 +150,7 @@ AmntStrategy::moveSubtreeTo(std::uint64_t new_region)
             dirty_nodes.push_back(addr);
     });
     writeThroughMany(dirty_nodes.data(), dirty_nodes.size());
-    for (std::size_t i = 0; i < dirty_nodes.size(); ++i)
-        stats().inc("movement_flush_writes");
+    movementFlushWrites_.add(stats(), dirty_nodes.size());
 
     // Persist the path from the outgoing subtree root to the global
     // root so the strict region is anchored again.
@@ -160,11 +159,11 @@ AmntStrategy::moveSubtreeTo(std::uint64_t new_region)
     bmt::NodeRef ref = subtreeRoot();
     while (true) {
         anchor[n_anchor++] = map().nodeAddrOf(ref);
-        stats().inc("movement_flush_writes");
         if (ref.level == 1)
             break;
         ref = bmt::Geometry::parentOf(ref);
     }
+    movementFlushWrites_.add(stats(), n_anchor);
     writeThroughMany(anchor, n_anchor);
 
     // Retargeting is one atomic NV-register transaction: the region

@@ -178,6 +178,8 @@ class AmntStrategy : public mee::ProtocolStrategy
     /// Per-write statistics resolved once (see StatGroup::counter).
     std::uint64_t *subtreeHits_ = nullptr;
     std::uint64_t *subtreeMisses_ = nullptr;
+    LazyCounter subtreeMovements_{"subtree_movements"};
+    LazyCounter movementFlushWrites_{"movement_flush_writes"};
 
     std::uint64_t region_ = 0;
     std::uint64_t writesThisInterval_ = 0;

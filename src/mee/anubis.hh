@@ -60,7 +60,7 @@ class AnubisStrategy : public ProtocolStrategy
         faultPersistPoint();
         trace().instant(obs::EventClass::Persist, maddr, 1);
         shadow_[maddr] = latestBytes(maddr);
-        stats().inc("shadow_writes");
+        shadowWrites_.add(stats());
         return config().nvmWriteCycles;
     }
 
@@ -72,7 +72,7 @@ class AnubisStrategy : public ProtocolStrategy
         faultPersistPoint();
         trace().instant(obs::EventClass::Persist, maddr, 1);
         shadow_[maddr] = latestBytes(maddr);
-        stats().inc("shadow_writes");
+        shadowWrites_.add(stats());
     }
 
     void
@@ -84,7 +84,7 @@ class AnubisStrategy : public ProtocolStrategy
         // write-back (see MemoryEngine::handleEviction).
         faultPersistPoint();
         shadow_.erase(maddr);
-        stats().inc("shadow_writes");
+        shadowWrites_.add(stats());
     }
 
     RecoveryReport recover() override;
@@ -118,6 +118,8 @@ class AnubisStrategy : public ProtocolStrategy
      * currently resident in the metadata cache. Survives crashes.
      */
     std::unordered_map<Addr, mem::Block> shadow_;
+
+    LazyCounter shadowWrites_{"shadow_writes"};
 };
 
 } // namespace amnt::mee

@@ -210,7 +210,7 @@ BmfStrategy::adapt()
             roots_.push_back({parent, tree().node(parent),
                               victim_uses / 2});
             rebuildIndex();
-            stats().inc("bmf_merges");
+            merges_.add(stats());
             trace().instant(obs::EventClass::RootAdapt, 1);
             // Indices moved; re-locate the hottest entry.
             hottest = roots_.size();
@@ -241,7 +241,7 @@ BmfStrategy::adapt()
                 {child, tree().node(child), victim.uses / kTreeArity});
         }
         rebuildIndex();
-        stats().inc("bmf_prunes");
+        prunes_.add(stats());
         trace().instant(obs::EventClass::RootAdapt, 0);
     }
 

@@ -99,6 +99,9 @@ class BmfStrategy : public ProtocolStrategy
     /** linearId -> index in roots_ for O(1) covering-root lookup. */
     std::unordered_map<std::uint64_t, std::size_t> index_;
     std::uint64_t writesSinceAdapt_ = 0;
+
+    LazyCounter merges_{"bmf_merges"};
+    LazyCounter prunes_{"bmf_prunes"};
 };
 
 } // namespace amnt::mee

@@ -297,6 +297,12 @@ MemoryEngine::ensureResident(Addr maddr, unsigned &misses)
         trace_.instant(obs::EventClass::McacheHit, maddr);
         return 0;
     }
+    return fetchMissing(maddr, misses);
+}
+
+Cycle
+MemoryEngine::fetchMissing(Addr maddr, unsigned &misses)
+{
     trace_.instant(obs::EventClass::McacheMiss, maddr);
     ++misses;
     ++*metaFetches_;
@@ -322,12 +328,13 @@ MemoryEngine::ensureCounterChain(std::uint64_t counterIdx,
     // Counter missed: walk ancestors until a cached (trusted) node.
     bmt::NodeRef ref = map_.geometry().leafNodeOf(counterIdx);
     while (true) {
+        // One probe per level: a hit counts and refreshes the LRU of
+        // the anchor (which ends the walk without an McacheHit
+        // instant); a miss is already counted when the fetch runs.
         const Addr naddr = map_.nodeAddrOf(ref);
-        if (mcache_.contains(naddr)) {
-            mcache_.access(naddr, false); // refresh LRU of the anchor
+        if (mcache_.access(naddr, false))
             break;
-        }
-        hook += ensureResident(naddr, misses);
+        hook += fetchMissing(naddr, misses);
         if (ref.level == 1)
             break; // anchored at the on-chip root register
         ref = bmt::Geometry::parentOf(ref);
@@ -477,7 +484,7 @@ MemoryEngine::updateHmacEntry(Addr addr)
 Cycle
 MemoryEngine::reencryptPage(std::uint64_t counterIdx)
 {
-    stats_.inc("overflow_reencrypts");
+    overflowReencrypts_.add(stats_);
     const Addr page_base = counterIdx * kPageSize;
     const bmt::CounterBlock &cb = tree_->counter(counterIdx);
 
@@ -579,7 +586,10 @@ MemoryEngine::read(Addr addr, std::uint8_t *out)
         nvm_->touchRead(block);
 
     const Addr haddr = map_.hmacAddrOf(block);
-    const bool hmac_was_cached = mcache_.contains(haddr);
+    // Only the functional plane reads the HMAC entry below; the timing
+    // plane skips this extra probe.
+    const bool hmac_was_cached =
+        config_.trackContents && mcache_.contains(haddr);
 
     unsigned misses = 0;
     Cycle hook = 0;

@@ -282,6 +282,13 @@ class MemoryEngine
     Cycle ensureResident(Addr maddr, unsigned &misses);
 
     /**
+     * The miss half of ensureResident: fetch, verify and insert the
+     * block-aligned @p maddr, whose metadata-cache miss the caller's
+     * probe has already counted.
+     */
+    Cycle fetchMissing(Addr maddr, unsigned &misses);
+
+    /**
      * Fetch-and-verify the counter trust chain for @p counterIdx:
      * counter block plus ancestor nodes up to the first cached one.
      * @param misses Incremented per fetched block in this round.
@@ -474,6 +481,8 @@ class MemoryEngine
     std::uint64_t *metaFetches_;
     std::uint64_t *metaWritebacks_;
     std::uint64_t *persistWrites_;
+    // Rare per-event statistics, resolved on first use.
+    LazyCounter overflowReencrypts_{"overflow_reencrypts"};
 
     /** Handle a (possibly dirty) eviction returned by the cache. */
     void handleEviction(const cache::AccessResult &res);

@@ -65,7 +65,7 @@ PhoenixStrategy::epochFlush()
         }
     });
     writeThroughMany(flush.data(), flush.size());
-    stats().inc("phoenix_epoch_flushes");
+    epochFlushes_.add(stats());
 }
 
 void

@@ -67,6 +67,8 @@ class PhoenixStrategy : public ProtocolStrategy
 
     /** Dirty tree lines latched at the crash (recovery work model). */
     std::uint64_t staleNodesAtCrash_ = 0;
+
+    LazyCounter epochFlushes_{"phoenix_epoch_flushes"};
 };
 
 } // namespace amnt::mee

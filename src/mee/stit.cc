@@ -23,12 +23,12 @@ StitStrategy::enqueue(Addr maddr)
         // An update to this node is already queued; the eventual
         // drain writes the node's latest bytes, so the new update
         // rides along for free.
-        stats().inc("stit_coalesced");
+        coalesced_.add(stats());
         return;
     }
     pending_.push_back(maddr);
     pendingSet_.insert(maddr);
-    stats().inc("stit_enqueues");
+    enqueues_.add(stats());
 }
 
 void
@@ -40,7 +40,7 @@ StitStrategy::drainOne()
     // One posted write retires every update coalesced into the entry
     // (writeThrough persists the node's latest architectural bytes).
     writeThrough(maddr);
-    stats().inc("stit_drains");
+    drains_.add(stats());
 }
 
 Cycle
@@ -87,7 +87,7 @@ StitStrategy::onMetaEvict(Addr maddr, bool)
     if (pendingSet_.erase(maddr) != 0) {
         pending_.erase(
             std::find(pending_.begin(), pending_.end(), maddr));
-        stats().inc("stit_evict_retires");
+        evictRetires_.add(stats());
     }
 }
 

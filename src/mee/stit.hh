@@ -84,6 +84,11 @@ class StitStrategy : public ProtocolStrategy
     std::deque<Addr> pending_;
     /** Membership index of pending_ for O(1) coalescing. */
     std::unordered_set<Addr> pendingSet_;
+
+    LazyCounter coalesced_{"stit_coalesced"};
+    LazyCounter enqueues_{"stit_enqueues"};
+    LazyCounter drains_{"stit_drains"};
+    LazyCounter evictRetires_{"stit_evict_retires"};
 };
 
 } // namespace amnt::mee

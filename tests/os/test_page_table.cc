@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+
+#include "common/rng.hh"
 #include "os/page_table.hh"
 
 namespace amnt::os
@@ -90,6 +94,88 @@ TEST(PageTable, ForEachMappingVisitsAll)
     int n = 0;
     pt.forEachMapping([&](PageId, PageId) { ++n; });
     EXPECT_EQ(n, 2);
+}
+
+/**
+ * Reference page table: first-touch allocation over a
+ * std::unordered_map, driving its own allocator of the same size, so
+ * frame numbers must match the flat table's exactly.
+ */
+struct ReferenceTable
+{
+    explicit ReferenceTable(std::uint64_t frames) : alloc(frames) {}
+
+    Addr
+    translate(Addr vaddr)
+    {
+        auto it = map.find(pageOf(vaddr));
+        if (it == map.end()) {
+            it = map.emplace(pageOf(vaddr), *alloc.allocPage()).first;
+            ++faults;
+        }
+        return pageAddr(it->second) + (vaddr & (kPageSize - 1));
+    }
+
+    void
+    unmapPage(PageId vpage)
+    {
+        auto it = map.find(vpage);
+        if (it == map.end())
+            return;
+        alloc.freePage(it->second);
+        map.erase(it);
+    }
+
+    BuddyAllocator alloc;
+    std::unordered_map<PageId, PageId> map;
+    std::uint64_t faults = 0;
+};
+
+TEST(PageTable, RandomizedParityWithUnorderedMap)
+{
+    constexpr std::uint64_t kFrames = 4096;
+    constexpr std::uint64_t kVpages = 3000; // sparse, spread below
+    BuddyAllocator alloc(kFrames);
+    PageTable pt(alloc);
+    ReferenceTable ref(kFrames);
+    Rng rng(0x9a6e);
+
+    auto vpageAt = [](std::uint64_t i) { return i * 37 + (i >> 3); };
+    for (int op = 0; op < 40000; ++op) {
+        const PageId vpage = vpageAt(rng.below(kVpages));
+        const Addr vaddr = pageAddr(vpage) + rng.below(kPageSize);
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 6) {
+            ASSERT_EQ(pt.translate(vaddr), ref.translate(vaddr)) << op;
+        } else if (kind < 8) {
+            // Churn: unmap, so the page refaults on its next touch.
+            pt.unmapPage(vpage);
+            ref.unmapPage(vpage);
+        } else {
+            Addr got = 0;
+            const bool mapped = pt.probe(vaddr, got);
+            auto it = ref.map.find(vpage);
+            ASSERT_EQ(mapped, it != ref.map.end()) << op;
+            if (mapped) {
+                ASSERT_EQ(got, pageAddr(it->second) +
+                                   (vaddr & (kPageSize - 1)))
+                    << op;
+            }
+        }
+        ASSERT_EQ(pt.faults(), ref.faults) << op;
+        ASSERT_EQ(pt.mappedPages(), ref.map.size()) << op;
+        ASSERT_EQ(alloc.freeFrames(), ref.alloc.freeFrames()) << op;
+    }
+    EXPECT_GT(pt.faults(), pt.mappedPages()); // refaults happened
+
+    std::map<PageId, PageId> got;
+    pt.forEachMapping([&](PageId v, PageId f) { got.emplace(v, f); });
+    const std::map<PageId, PageId> want(ref.map.begin(), ref.map.end());
+    EXPECT_EQ(got, want);
+
+    pt.unmapAll();
+    EXPECT_EQ(pt.mappedPages(), 0ull);
+    EXPECT_EQ(alloc.freeFrames(), kFrames);
 }
 
 } // namespace
