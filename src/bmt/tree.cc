@@ -16,15 +16,6 @@ namespace
 const mem::Block kZeroBlock{};
 const CounterBlock kZeroCounter{};
 
-bool
-isZeroBlock(const mem::Block &b)
-{
-    for (auto byte : b)
-        if (byte != 0)
-            return false;
-    return true;
-}
-
 /**
  * Batched hash of @p n blocks with the zero-block -> 0 convention:
  * out[i] = mac64(blockOf(i), tweakOf(i)), zero blocks skipping the
@@ -43,7 +34,7 @@ batchHash(const crypto::HashEngine &hash, std::size_t n,
     pos.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const mem::Block &b = blockOf(i);
-        if (isZeroBlock(b))
+        if (mem::isZeroBlock(b))
             continue;
         reqs.push_back({b.data(), b.size(), tweakOf(i)});
         pos.push_back(i);
@@ -81,7 +72,7 @@ std::uint64_t
 TreeState::hashCounterBytes(std::uint64_t idx,
                             const mem::Block &bytes) const
 {
-    if (isZeroBlock(bytes))
+    if (mem::isZeroBlock(bytes))
         return 0;
     const Addr tweak = counterBase_ + idx * kBlockSize;
     return hash_->mac64(bytes.data(), bytes.size(), tweak);
@@ -90,16 +81,9 @@ TreeState::hashCounterBytes(std::uint64_t idx,
 std::uint64_t
 TreeState::hashNodeBytes(NodeRef ref, const mem::Block &bytes) const
 {
-    if (isZeroBlock(bytes))
+    if (mem::isZeroBlock(bytes))
         return 0;
     return hash_->mac64(bytes.data(), bytes.size(), nodeAddr(ref));
-}
-
-const mem::Block &
-TreeState::counterBytes(std::uint64_t idx) const
-{
-    auto it = counterBytes_.find(idx);
-    return it == counterBytes_.end() ? kZeroBlock : it->second;
 }
 
 const mem::Block &
@@ -134,9 +118,7 @@ void
 TreeState::setCounter(std::uint64_t idx, const CounterBlock &value)
 {
     counters_[idx] = value;
-    mem::Block &bytes = counterBytes_[idx];
-    bytes = value.serialize();
-    updatePath(idx, bytes);
+    updatePath(idx, value.serialize());
 }
 
 std::uint64_t
@@ -187,7 +169,6 @@ std::uint64_t
 TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
 {
     counters_.clear();
-    counterBytes_.clear();
     nodes_.clear();
     const Addr lo = map_->counterBase();
     const Addr hi = map_->hmacBase();
@@ -199,12 +180,14 @@ TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
         idxs.push_back(idx);
     });
     std::sort(idxs.begin(), idxs.end());
-    // Re-serialize rather than caching the raw persisted bytes: the
+    // Re-serialize rather than hashing the raw persisted bytes: the
     // hash chain must be computed over the canonical encoding, exactly
     // as the pre-crash updatePath did (tampered non-canonical bytes
     // must not leak into the rebuilt tree).
+    std::vector<mem::Block> canon;
+    canon.reserve(idxs.size());
     for (std::uint64_t idx : idxs)
-        counterBytes_[idx] = counters_.find(idx)->second.serialize();
+        canon.push_back(counters_.find(idx)->second.serialize());
 
     // Level-by-level rebuild: every entry of a level is final before
     // the level itself is hashed, so each touched node is MACed
@@ -218,8 +201,8 @@ TreeState::rebuildFromNvm(const mem::NvmDevice &nvm)
         std::vector<std::uint64_t> macs;
         batchHash(
             *hash_, idxs.size(),
-            [this, &idxs](std::size_t i) -> const mem::Block & {
-                return counterBytes(idxs[i]);
+            [&canon](std::size_t i) -> const mem::Block & {
+                return canon[i];
             },
             [this, &idxs](std::size_t i) {
                 return counterBase_ + idxs[i] * kBlockSize;

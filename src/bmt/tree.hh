@@ -63,7 +63,11 @@ class TreeState
                                 const mem::Block &bytes) const;
 
     /** Serialized latest counter block (zero block when untouched). */
-    const mem::Block &counterBytes(std::uint64_t idx) const;
+    mem::Block
+    counterBytes(std::uint64_t idx) const
+    {
+        return counter(idx).serialize();
+    }
 
     /**
      * Verify bytes fetched from NVM for counter @p idx against the
@@ -136,13 +140,9 @@ class TreeState
     Addr counterBase_;
     Addr treeBase_;
 
+    // The one copy of each touched counter block; its serialized
+    // bytes are encoded on demand (counterBytes()).
     FlatMap<std::uint64_t, CounterBlock> counters_;
-    // Serialized form of every entry in counters_, maintained by
-    // setCounter/rebuildFromNvm: each write hashes and persists the
-    // same serialized bytes, so packing the 7-bit minors once per
-    // mutation instead of per reader keeps serialize() off the
-    // per-access path.
-    FlatMap<std::uint64_t, mem::Block> counterBytes_;
     FlatMap<std::uint64_t, mem::Block> nodes_;
 };
 

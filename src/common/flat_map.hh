@@ -4,9 +4,9 @@
  *
  * The secure-memory engine performs several map lookups per simulated
  * memory access (architectural counters, tree nodes, HMAC blocks,
- * persisted-MAC records, NVM backing store). std::unordered_map's
- * node-per-entry layout makes each of those a pointer chase plus an
- * allocation on insert; FlatMap probes a flat array instead.
+ * NVM backing store). std::unordered_map's node-per-entry layout
+ * makes each of those a pointer chase plus an allocation on insert;
+ * FlatMap probes a flat array instead.
  *
  * Design points:
  *  - power-of-two capacity, linear probing, max load factor 1/2;

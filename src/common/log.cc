@@ -68,18 +68,6 @@ warn(const char *fmt, ...)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-inform(const char *fmt, ...)
-{
-    if (quietMode)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 std::string
 strfmt(const char *fmt, ...)
 {

@@ -3,8 +3,8 @@
  * Error and status reporting in the gem5 idiom.
  *
  * panic() aborts on internal invariant violations (library bugs);
- * fatal() exits on unusable user configuration; warn()/inform() print
- * without stopping the simulation.
+ * fatal() exits on unusable user configuration; warn() prints without
+ * stopping the simulation.
  */
 
 #ifndef AMNT_COMMON_LOG_HH
@@ -27,10 +27,7 @@ namespace amnt
 /** Print a warning to stderr and continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print an informational message to stderr and continue. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Suppress warn()/inform() output (used by tests). */
+/** Suppress warn() output (used by tests). */
 void setQuiet(bool quiet);
 
 /** printf-style formatting into a std::string. */

@@ -11,7 +11,7 @@ AnubisStrategy::recover()
     // Restore every shadowed block: these are precisely the blocks
     // whose NVM copies may be stale (they were cached, possibly
     // dirty, at the crash). After restoration NVM is fully current.
-    // The persisted-MAC recompute for the whole table is batched.
+    // The seal MACs for the whole table go out in batched bursts.
     const std::uint64_t entries = shadow_.size();
     std::vector<Addr> addrs;
     std::vector<const mem::Block *> blocks;

@@ -137,30 +137,15 @@ MemoryEngine::latestBytes(Addr maddr) const
     panic("latestBytes on a data address");
 }
 
-namespace
-{
-
-bool
-blockIsZero(const mem::Block &b)
-{
-    for (auto byte : b)
-        if (byte != 0)
-            return false;
-    return true;
-}
-
-} // namespace
-
 void
 MemoryEngine::persistBytes(Addr maddr, const mem::Block &bytes)
 {
     trace_.instant(obs::EventClass::Persist, maddr);
-    nvm_->writeBlock(maddr, bytes);
-    if (blockIsZero(bytes))
-        persistedMac_.erase(maddr);
-    else
-        persistedMac_[maddr] =
-            crypto_.hash->mac64(bytes.data(), bytes.size(), maddr);
+    nvm_->persist(maddr, bytes,
+                  mem::isZeroBlock(bytes)
+                      ? 0
+                      : crypto_.hash->mac64(bytes.data(), bytes.size(),
+                                            maddr));
 }
 
 namespace
@@ -181,7 +166,7 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
         crypto::MacRequest reqs[kPersistBatch];
         std::size_t m = 0;
         for (std::size_t k = 0; k < chunk; ++k) {
-            if (!blockIsZero(*blocks[k])) {
+            if (!mem::isZeroBlock(*blocks[k])) {
                 reqs[m] = {blocks[k]->data(), blocks[k]->size(),
                            addrs[k]};
                 ++m;
@@ -189,7 +174,7 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
         }
         // MACs are computed before any write lands so that an
         // injected crash at block k leaves blocks < k fully persisted
-        // (bytes AND recorded MAC) and blocks >= k fully untouched.
+        // (bytes and seal) and blocks >= k fully untouched.
         std::uint64_t macs[kPersistBatch];
         if (obs::hostTimingEnabled()) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -207,13 +192,9 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
         for (std::size_t k = 0; k < chunk; ++k) {
             if (trace_.on())
                 trace_.instant(obs::EventClass::Persist, addrs[k]);
-            nvm_->writeBlock(addrs[k], *blocks[k]);
-            if (blockIsZero(*blocks[k])) {
-                persistedMac_.erase(addrs[k]);
-            } else {
-                persistedMac_[addrs[k]] = macs[j];
-                ++j;
-            }
+            const std::uint64_t seal =
+                mem::isZeroBlock(*blocks[k]) ? 0 : macs[j++];
+            nvm_->persist(addrs[k], *blocks[k], seal);
         }
         addrs += chunk;
         blocks += chunk;
@@ -222,22 +203,22 @@ MemoryEngine::persistBytesMany(const Addr *addrs,
 }
 
 void
-MemoryEngine::verifyFetched(Addr maddr, const mem::Block &bytes)
+MemoryEngine::verifyFetched(Addr maddr, const mem::Block &bytes,
+                            std::uint64_t seal)
 {
     // A fetched metadata block must be byte-identical to what the
-    // engine last persisted there; the check is a keyed MAC so any
-    // physical modification (splice, spoof, or replay of an older
-    // value) diverges with overwhelming probability. This is the
-    // fetch-time arm of the integrity chain; the crash-time arm is
-    // the recovery root comparison against the NV root register.
-    auto it = persistedMac_.find(maddr);
-    const std::uint64_t expect =
-        it == persistedMac_.end() ? 0 : it->second;
+    // engine last persisted there: its keyed MAC must equal the seal
+    // the engine persisted with those bytes, so any physical
+    // modification (splice, spoof, or replay of an older value) that
+    // leaves the seal behind diverges with overwhelming probability.
+    // This is the fetch-time arm of the integrity chain; the
+    // crash-time arm is the recovery root comparison against the NV
+    // root register.
     const std::uint64_t got =
-        blockIsZero(bytes)
+        mem::isZeroBlock(bytes)
             ? 0
             : crypto_.hash->mac64(bytes.data(), bytes.size(), maddr);
-    if (got != expect) {
+    if (got != seal) {
         switch (map_.classify(maddr)) {
           case mem::Region::Counter:
             flagViolation("counter", maddr);
@@ -307,8 +288,8 @@ MemoryEngine::fetchMissing(Addr maddr, unsigned &misses)
     ++misses;
     ++*metaFetches_;
     mem::Block bytes;
-    nvm_->readBlock(maddr, bytes);
-    verifyFetched(maddr, bytes);
+    const std::uint64_t seal = nvm_->readBlock(maddr, bytes);
+    verifyFetched(maddr, bytes, seal);
     const cache::AccessResult res = mcache_.insert(maddr, false);
     handleEviction(res);
     return strategy_->onMetaInsert(maddr);
@@ -355,8 +336,8 @@ MemoryEngine::markDirty(Addr maddr)
         trace_.instant(obs::EventClass::McacheMiss, maddr);
         ++*metaFetches_;
         mem::Block bytes;
-        nvm_->readBlock(maddr, bytes);
-        verifyFetched(maddr, bytes);
+        const std::uint64_t seal = nvm_->readBlock(maddr, bytes);
+        verifyFetched(maddr, bytes, seal);
         const cache::AccessResult res = mcache_.insert(maddr, true);
         handleEviction(res);
         strategy_->onMetaInsert(maddr);
@@ -402,14 +383,6 @@ MemoryEngine::writeThroughMany(const Addr *addrs, std::size_t n)
         addrs += chunk;
         n -= chunk;
     }
-}
-
-std::vector<bmt::NodeRef>
-MemoryEngine::pathOf(std::uint64_t counterIdx) const
-{
-    std::vector<bmt::NodeRef> path;
-    pathOf(counterIdx, path);
-    return path;
 }
 
 void
@@ -628,7 +601,7 @@ MemoryEngine::read(Addr addr, std::uint8_t *out)
         const bool untouched =
             plaintext_.find(blockOf(block)) == plaintext_.end();
         if (untouched) {
-            if (!blockIsZero(cipher))
+            if (!mem::isZeroBlock(cipher))
                 flagViolation("untouched data", block);
         } else if (dataMac(block, cipher.data()) != stored) {
             flagViolation("data hmac", block);

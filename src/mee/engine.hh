@@ -310,12 +310,12 @@ class MemoryEngine
      */
     void writeThroughMany(const Addr *addrs, std::size_t n);
 
-    /** Write metadata bytes to NVM and record their persisted MAC. */
+    /** Persist metadata bytes to NVM sealed with their MAC. */
     void persistBytes(Addr maddr, const mem::Block &bytes);
 
     /**
-     * Batch persistBytes: addrs[i] receives *blocks[i]. The persisted
-     * MACs are computed with one batched burst per chunk; used by the
+     * Batch persistBytes: addrs[i] receives *blocks[i]. The seals
+     * are computed with one batched burst per chunk; used by the
      * bulk restore paths (recovery rebuild, Anubis shadow restore).
      */
     void persistBytesMany(const Addr *addrs,
@@ -337,13 +337,11 @@ class MemoryEngine
             w * static_cast<double>(config_.nvmWriteCycles));
     }
 
-    /** Tree-path node refs for a counter, deepest first. */
-    std::vector<bmt::NodeRef> pathOf(std::uint64_t counterIdx) const;
-
     /**
-     * pathOf into a reusable buffer (cleared first). Persist policies
-     * run once per simulated write; passing pathScratch_ here avoids
-     * a heap allocation on that hot path.
+     * Tree-path node refs for a counter, deepest first, into a
+     * reusable buffer (cleared first). Persist policies run once per
+     * simulated write; passing pathScratch_ here avoids a heap
+     * allocation on that hot path.
      */
     void pathOf(std::uint64_t counterIdx,
                 std::vector<bmt::NodeRef> &out) const;
@@ -437,15 +435,6 @@ class MemoryEngine
     /** Latest HMAC-block bytes (architectural). */
     FlatMap<Addr, mem::Block> hmacLatest_;
 
-    /**
-     * MAC of the bytes last persisted per metadata block; fetched
-     * blocks are verified against this (any physical tampering of
-     * NVM contents diverges from it). Lives conceptually in the
-     * integrity machinery, not in NVM, and survives crashes because
-     * it describes persistent state.
-     */
-    FlatMap<Addr, std::uint64_t> persistedMac_;
-
     /** Plaintext contents when trackContents (functional plane). */
     FlatMap<BlockId, mem::Block> plaintext_;
 
@@ -468,10 +457,10 @@ class MemoryEngine
 
     /**
      * The sharded scale-out wrapper (shard/sharded_engine.hh) rolls
-     * torn epochs back to the last durable commit: it restores the
-     * persisted-MAC table, the functional plaintext pre-images and
-     * the NV root register to their committed values between crash()
-     * and recover().
+     * torn epochs back to the last durable commit: besides the NVM
+     * journal (bytes and seals), it restores the functional plaintext
+     * pre-images and the NV root register to their committed values
+     * between crash() and recover().
      */
     friend class shard::EngineShard;
 
@@ -487,8 +476,12 @@ class MemoryEngine
     /** Handle a (possibly dirty) eviction returned by the cache. */
     void handleEviction(const cache::AccessResult &res);
 
-    /** Verify fetched NVM bytes for a metadata block. */
-    void verifyFetched(Addr maddr, const mem::Block &bytes);
+    /**
+     * Verify metadata bytes fetched from NVM against the @p seal read
+     * with them (the MAC the engine persisted them under).
+     */
+    void verifyFetched(Addr maddr, const mem::Block &bytes,
+                       std::uint64_t seal);
 
     /** Write path: counter increment + overflow + HMAC update. */
     Cycle writeCommon(Addr addr, const std::uint8_t *data,

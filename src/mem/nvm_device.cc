@@ -1,7 +1,5 @@
 #include "mem/nvm_device.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "obs/registry.hh"
@@ -28,7 +26,7 @@ NvmDevice::tamper(Addr addr, std::size_t offset, std::uint8_t mask)
     // attack registers a never-written block in the store, so it is
     // visible to recovery scans like any engine-persisted block.
     auto [it, fresh] = store_.try_emplace(blockOf(addr));
-    it->second[offset] ^= mask;
+    it->second.bytes[offset] ^= mask;
     return !fresh;
 }
 
@@ -40,7 +38,7 @@ NvmDevice::forEachBlockIn(
     for (const auto &kv : store_) {
         const Addr addr = blockAddr(kv.first);
         if (addr >= lo && addr < hi)
-            visitor(addr, kv.second);
+            visitor(addr, kv.second.bytes);
     }
 }
 
@@ -50,24 +48,18 @@ NvmDevice::crash()
     // Contents persist across a crash; nothing to discard here.
 }
 
-std::vector<Addr>
+void
 NvmDevice::journalRollback()
 {
-    std::vector<Addr> affected;
-    affected.reserve(journalEntries_.size());
     for (const auto &kv : journalEntries_) {
-        const BlockId blk = kv.first;
         const JournalEntry &e = kv.second;
         if (e.wasPresent)
-            store_.try_emplace(blk).first->second = e.preimage;
+            store_.try_emplace(kv.first).first->second = e.preimage;
         else
-            store_.erase(blk);
-        affected.push_back(blockAddr(blk));
+            store_.erase(kv.first);
     }
     journalEntries_.clear();
     ++journalRollbacks_;
-    std::sort(affected.begin(), affected.end());
-    return affected;
 }
 
 void

@@ -8,6 +8,12 @@
  * Contents are stored sparsely so terabyte-scale address spaces can be
  * simulated with memory proportional to the touched footprint.
  *
+ * Each durable block is one record: its bytes plus the seal, the MAC
+ * the engine computed over them when it persisted them (persist()), so
+ * the seal persists atomically with its block (Triad-NVM). Raw
+ * writeBlock() (data blocks, an attacker's replay) and tamper() never
+ * change a seal.
+ *
  * The device also provides the attack surface of the threat model:
  * tamper() lets tests flip persisted bytes the way a physical attacker
  * with access to the DIMM would.
@@ -21,7 +27,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/flat_map.hh"
@@ -41,6 +46,16 @@ namespace amnt::mem
 /** One 64 B memory block. */
 using Block = std::array<std::uint8_t, kBlockSize>;
 
+/** True for the all-zero block (never written, or written as zero). */
+inline bool
+isZeroBlock(const Block &b)
+{
+    for (std::uint8_t byte : b)
+        if (byte != 0)
+            return false;
+    return true;
+}
+
 /** Timing parameters of the device (Table 1 defaults at 2 GHz). */
 struct NvmTiming
 {
@@ -52,8 +67,8 @@ struct NvmTiming
 
 /**
  * Sparse, block-granular non-volatile store. Blocks never written
- * read as zero. Every access updates traffic statistics, which the
- * benches report as NVM read/write traffic.
+ * read as zero with seal 0. Every access updates traffic statistics,
+ * which the benches report as NVM read/write traffic.
  */
 class NvmDevice
 {
@@ -68,34 +83,35 @@ class NvmDevice
     /** Timing parameters. */
     const NvmTiming &timing() const { return timing_; }
 
-    /** Read the block containing @p addr into @p out. */
-    void
+    /** Read the block containing @p addr into @p out; returns its seal. */
+    std::uint64_t
     readBlock(Addr addr, Block &out)
     {
         checkAddr(addr);
         ++reads_;
         auto it = store_.find(blockOf(addr));
-        if (it == store_.end())
+        if (it == store_.end()) {
             out.fill(0);
-        else
-            out = it->second;
+            return 0;
+        }
+        out = it->second.bytes;
+        return it->second.seal;
     }
 
-    /** Write @p data to the block containing @p addr (persists). */
+    /** Raw write of @p data (persists); the seal is left as it was. */
     void
     writeBlock(Addr addr, const Block &data)
     {
-        checkAddr(addr);
-        // Persist-op boundary: an injected crash suppresses this
-        // write, leaving the previous durable contents in place.
-        if (fault_ != nullptr)
-            fault_->persistPoint();
-        ++writes_;
-        if (journal_)
-            journalCapture(blockOf(addr));
-        // try_emplace + assign: fresh blocks are value-initialized
-        // then overwritten, existing blocks take one probe total.
-        store_.try_emplace(blockOf(addr)).first->second = data;
+        writeRecord(addr).bytes = data;
+    }
+
+    /** The engine's metadata write: @p data and its @p seal. */
+    void
+    persist(Addr addr, const Block &data, std::uint64_t seal)
+    {
+        Record &r = writeRecord(addr);
+        r.bytes = data;
+        r.seal = seal;
     }
 
     /** Read contents without generating device traffic (model use). */
@@ -107,7 +123,7 @@ class NvmDevice
         if (it == store_.end())
             out.fill(0);
         else
-            out = it->second;
+            out = it->second.bytes;
     }
 
     /**
@@ -192,9 +208,9 @@ class NvmDevice
     // Pre-image journal for the sharded engine's torn-epoch rollback
     // (shard/sharded_engine.hh): between journalClear() calls, the
     // first content-carrying write to each block records the block's
-    // previous durable value (or its absence). journalRollback()
-    // restores exactly those pre-images. The journal append is
-    // modeled as atomic with the block write it shadows — both land
+    // previous durable record, bytes and seal (or its absence).
+    // journalRollback() restores exactly those pre-images. The journal
+    // append is modeled as atomic with the block write it shadows — both land
     // in the same ADR persist burst — so it adds no crash-point
     // boundaries of its own (DESIGN.md §15). Timing-plane touchWrite
     // traffic carries no contents and needs no pre-image.
@@ -219,21 +235,43 @@ class NvmDevice
 
     /**
      * Undo every content write since the last journalClear():
-     * journaled blocks revert to their pre-image, blocks that had
-     * never been written are erased from the store (so recovery scans
-     * see no phantom all-zero blocks). Generates no device traffic
-     * and no persist points — it models what was simply never made
-     * durable. Returns the affected block addresses, sorted.
+     * journaled blocks revert to their pre-image record, blocks that
+     * had never been written are erased from the store (so recovery
+     * scans see no phantom all-zero blocks). Generates no device
+     * traffic and no persist points — it models what was simply never
+     * made durable.
      */
-    std::vector<Addr> journalRollback();
+    void journalRollback();
 
   private:
-    /** A block's durable state before the open epoch first wrote it. */
+    /** One durable block: its bytes and the seal persisted with them. */
+    struct Record
+    {
+        Block bytes{};
+        std::uint64_t seal = 0;
+    };
+
+    /** A block's durable record before the open epoch first wrote it. */
     struct JournalEntry
     {
         bool wasPresent = false;
-        Block preimage{};
+        Record preimage;
     };
+
+    /** writeBlock/persist: boundary, traffic, journal; the record. */
+    Record &
+    writeRecord(Addr addr)
+    {
+        checkAddr(addr);
+        // Persist-op boundary: an injected crash suppresses this
+        // write, leaving the previous durable contents in place.
+        if (fault_ != nullptr)
+            fault_->persistPoint();
+        ++writes_;
+        if (journal_)
+            journalCapture(blockOf(addr));
+        return store_.try_emplace(blockOf(addr)).first->second;
+    }
 
     void
     journalCapture(BlockId blk)
@@ -260,7 +298,7 @@ class NvmDevice
 
     std::uint64_t capacity_;
     NvmTiming timing_;
-    FlatMap<BlockId, Block> store_;
+    FlatMap<BlockId, Record> store_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
     fault::FaultDomain *fault_ = nullptr;

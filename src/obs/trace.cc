@@ -1,8 +1,11 @@
 #include "obs/trace.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -69,9 +72,39 @@ eventClassName(EventClass c)
     return i < kEventClassCount ? kClassNames[i] : "?";
 }
 
-TraceBuffer::TraceBuffer(std::size_t cap, unsigned engineId)
-    : cap_(cap == 0 ? 1 : cap), engineId_(engineId)
+TraceBuffer::TraceBuffer(std::size_t cap) : cap_(cap == 0 ? 1 : cap) {}
+
+// ------------------------------------------------------------ TraceJobScope
+
+namespace
 {
+
+thread_local TraceJobScope *currentScope = nullptr; ///< innermost job
+std::atomic<std::uint64_t> topLevelSeq{0};
+
+} // namespace
+
+TraceKey
+TraceJobScope::nextKey()
+{
+    TraceJobScope *scope = currentScope;
+    if (scope == nullptr)
+        return {topLevelSeq.fetch_add(1, std::memory_order_relaxed)};
+    TraceKey key = scope->prefix_;
+    key.push_back(scope->next_++);
+    return key;
+}
+
+TraceJobScope::TraceJobScope(TraceKey batch, std::uint64_t job)
+    : outer_(currentScope), prefix_(std::move(batch))
+{
+    prefix_.push_back(job);
+    currentScope = this;
+}
+
+TraceJobScope::~TraceJobScope()
+{
+    currentScope = outer_;
 }
 
 // ------------------------------------------------------------- TraceSession
@@ -82,8 +115,13 @@ struct TraceSession::Impl
     bool enabled = false;
     std::string path;
     std::size_t cap = 65536;
-    unsigned nextId = 0;
-    std::vector<std::shared_ptr<TraceBuffer>> buffers;
+
+    struct Keyed
+    {
+        TraceKey key;
+        std::shared_ptr<TraceBuffer> buf;
+    };
+    std::vector<Keyed> buffers;
 };
 
 TraceSession::TraceSession() : impl_(std::make_unique<Impl>())
@@ -130,20 +168,14 @@ TraceSession::cap() const
     return impl_->cap;
 }
 
-const std::string &
-TraceSession::path() const
-{
-    return impl_->path;
-}
-
 std::shared_ptr<TraceBuffer>
 TraceSession::openBuffer()
 {
     std::lock_guard<std::mutex> lock(impl_->mu);
     if (!impl_->enabled)
         return nullptr;
-    auto buf = std::make_shared<TraceBuffer>(impl_->cap, impl_->nextId++);
-    impl_->buffers.push_back(buf);
+    auto buf = std::make_shared<TraceBuffer>(impl_->cap);
+    impl_->buffers.push_back({TraceJobScope::nextKey(), buf});
     return buf;
 }
 
@@ -151,10 +183,16 @@ std::string
 TraceSession::exportJson() const
 {
     std::lock_guard<std::mutex> lock(impl_->mu);
+    auto &buffers = impl_->buffers;
+    std::sort(buffers.begin(), buffers.end(),
+              [](const Impl::Keyed &a, const Impl::Keyed &b) {
+                  return a.key < b.key;
+              });
     std::string out = "{\"traceEvents\": [\n";
     bool first = true;
     std::uint64_t dropped = 0;
-    for (const auto &buf : impl_->buffers) {
+    for (unsigned tid = 0; tid < buffers.size(); ++tid) {
+        const TraceBuffer *buf = buffers[tid].buf.get();
         dropped += buf->overwritten();
         // Repair the span structure this buffer lost to ring
         // overwrite: orphaned End events (their Begin was evicted)
@@ -173,7 +211,7 @@ TraceSession::exportJson() const
             }
             out += first ? "  " : ",\n  ";
             first = false;
-            appendEvent(out, e, buf->engineId());
+            appendEvent(out, e, tid);
         });
         while (!open.empty()) {
             TraceEvent close;
@@ -183,7 +221,7 @@ TraceSession::exportJson() const
             open.pop_back();
             out += first ? "  " : ",\n  ";
             first = false;
-            appendEvent(out, close, buf->engineId());
+            appendEvent(out, close, tid);
         }
     }
     out += "\n], \"displayTimeUnit\": \"ns\", \"otherData\": "
@@ -208,7 +246,6 @@ TraceSession::reconfigure()
 {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->buffers.clear();
-    impl_->nextId = 0;
     readEnv();
 }
 

@@ -5,10 +5,12 @@
  * Every secure-memory engine owns a Tracer: a lock-free, single-writer
  * ring buffer of typed events (persist ops, BMT walks, metadata-cache
  * hits/misses/evictions, subtree movements, crash/recovery phases,
- * crypto batch flushes), each stamped with the engine's simulated tick
- * and engine id. Buffers register with the process-wide TraceSession,
- * which merges them into one Chrome trace_event JSON document
- * (chrome://tracing / Perfetto compatible) at exit or on demand.
+ * crypto batch flushes), each stamped with the engine's simulated tick.
+ * Buffers register with the process-wide TraceSession, which merges
+ * them into one Chrome trace_event JSON document (chrome://tracing /
+ * Perfetto compatible) at exit or on demand.
+ * Tracks ("tid") are numbered in TraceJobScope key order, so a sweep
+ * exports the same document at any worker count.
  *
  * Tick domain: each engine carries its own monotonic cycle clock,
  * advanced by the critical-path latency of every read()/write() it
@@ -90,7 +92,7 @@ struct TraceEvent
 class TraceBuffer
 {
   public:
-    TraceBuffer(std::size_t cap, unsigned engineId);
+    explicit TraceBuffer(std::size_t cap);
 
     /** Append; overwrites the oldest record when full. */
     void
@@ -104,9 +106,6 @@ class TraceBuffer
             ++overwritten_;
         }
     }
-
-    /** Engine id (Chrome "tid" of this track). */
-    unsigned engineId() const { return engineId_; }
 
     /** Events currently held (<= cap). */
     std::size_t size() const { return events_.size(); }
@@ -125,10 +124,38 @@ class TraceBuffer
 
   private:
     std::size_t cap_;
-    unsigned engineId_;
     std::size_t head_ = 0; ///< oldest record once the ring wrapped
     std::uint64_t overwritten_ = 0;
     std::vector<TraceEvent> events_;
+};
+
+/** Scheduling-independent ordering key of a trace buffer. */
+using TraceKey = std::vector<std::uint64_t>;
+
+/**
+ * Marks the calling thread as running job @p job of a batch (one
+ * sweep::parallelFor call, keyed by one nextKey()) for its lifetime.
+ * nextKey() outside any scope is the next top-level sequence number;
+ * inside one it is (batch key, job index, order within the job). So
+ * keys ignore which worker ran first, and their lexicographic order
+ * is the order a serial run opens in. Scopes nest.
+ */
+class TraceJobScope
+{
+  public:
+    /** Key for the next buffer or batch on the calling thread. */
+    static TraceKey nextKey();
+
+    TraceJobScope(TraceKey batch, std::uint64_t job);
+    ~TraceJobScope();
+
+    TraceJobScope(const TraceJobScope &) = delete;
+    TraceJobScope &operator=(const TraceJobScope &) = delete;
+
+  private:
+    TraceJobScope *outer_;
+    TraceKey prefix_;
+    std::uint64_t next_ = 0;
 };
 
 /**
@@ -149,21 +176,21 @@ class TraceSession
     /** Per-engine event cap (AMNT_TRACE_CAP). */
     std::size_t cap() const;
 
-    /** Output path (empty when disabled). */
-    const std::string &path() const;
-
     /**
-     * Register a new per-engine buffer and assign it the next engine
-     * id. Returns nullptr when the session is disabled. Thread-safe
+     * Register a new per-engine buffer under TraceJobScope::nextKey().
+     * Returns nullptr when the session is disabled. Thread-safe
      * (sweep jobs construct engines concurrently); the buffer itself
      * is then written lock-free by its single owner.
      */
     std::shared_ptr<TraceBuffer> openBuffer();
 
-    /** Merged Chrome trace_event JSON of all buffers opened so far. */
+    /**
+     * Merged Chrome trace_event JSON of all buffers opened so far, in
+     * key order; a buffer's rank in that order is its "tid".
+     */
     std::string exportJson() const;
 
-    /** Write exportJson() to path() now (fatal on I/O failure). */
+    /** Write exportJson() to AMNT_TRACE now (fatal on I/O failure). */
     void exportNow() const;
 
     /**

@@ -12,20 +12,6 @@
 namespace amnt::shard
 {
 
-namespace
-{
-
-bool
-blockZero(const mem::Block &b)
-{
-    for (std::uint8_t byte : b)
-        if (byte != 0)
-            return false;
-    return true;
-}
-
-} // namespace
-
 ShardOptions
 resolveOptions(ShardOptions opts)
 {
@@ -171,30 +157,6 @@ EngineShard::captureCommitted()
 }
 
 void
-EngineShard::rollbackTornEpoch()
-{
-    mee::MemoryEngine &eng = *engine_;
-    const std::vector<Addr> rolled = nvm_->journalRollback();
-    ++rollbacks_;
-    // The persisted-MAC table describes durable contents; recompute
-    // it for every rolled metadata block exactly the way persistBytes
-    // recorded it (absent-or-all-zero blocks carry no entry). Data
-    // blocks have no persisted-MAC entry — their authentication goes
-    // through the HMAC region, which rolls back like any metadata.
-    mem::Block bytes;
-    for (Addr a : rolled) {
-        if (eng.map_.classify(a) == mem::Region::Data)
-            continue;
-        nvm_->peek(a, bytes);
-        if (blockZero(bytes))
-            eng.persistedMac_.erase(a);
-        else
-            eng.persistedMac_[a] = eng.crypto_.hash->mac64(
-                bytes.data(), bytes.size(), a);
-    }
-}
-
-void
 EngineShard::restorePlaintext()
 {
     mee::MemoryEngine &eng = *engine_;
@@ -212,8 +174,12 @@ mee::RecoveryReport
 EngineShard::recoverSlice()
 {
     mee::MemoryEngine &eng = *engine_;
-    if (nvm_->journalDirty())
-        rollbackTornEpoch();
+    if (nvm_->journalDirty()) {
+        // Each journaled pre-image is a whole durable record, so the
+        // rolled-back blocks carry the seals they were persisted with.
+        nvm_->journalRollback();
+        ++rollbacks_;
+    }
     restorePlaintext();
     // Restore the NV registers the commit record latched. For a slice
     // whose epoch was not torn these assignments are identities; for
@@ -405,32 +371,14 @@ ShardedEngine::flush()
         pending = pending || !shard->pendingEmpty();
     if (!pending)
         return;
+    closeEpoch();
     if (pipelined()) {
+        // The epoch just closed is draining on the lanes: finish it
+        // and commit it now instead of at the next close.
         waitInflight();
-        if (inflightEpoch_ != 0) {
-            commitRecord(inflightEpoch_);
-            inflightEpoch_ = 0;
-        }
-        for (auto &shard : shards_)
-            shard->swapInflight();
-        for (auto &shard : shards_) {
-            EngineShard *s = shard.get();
-            if (!s->inflightEmpty())
-                pool_->submit([s] { s->drainInflight(); });
-        }
-        waitInflight();
-        commitRecord(currentEpoch_);
-    } else {
-        for (auto &shard : shards_) {
-            shard->drainPending();
-            if (fd_ != nullptr)
-                fd_->persistPoint();
-        }
-        commitRecord(currentEpoch_);
+        commitRecord(inflightEpoch_);
+        inflightEpoch_ = 0;
     }
-    ++currentEpoch_;
-    writesThisEpoch_ = 0;
-    opsThisEpoch_ = 0;
 }
 
 void

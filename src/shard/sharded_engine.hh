@@ -42,7 +42,7 @@
  * epoch's content writes. A crash that tears an epoch (some slices
  * drained, commit record absent) is recovered by rolling every slice
  * back to the last fully-committed epoch: journal rollback restores
- * durable pre-images, then the engine's persisted-MAC table,
+ * durable pre-images (bytes and seals together), then the engine's
  * functional plaintext mirror, NV root register and protocol shadow
  * (ProtocolStrategy::cloneShadow) are restored from the commit
  * record before the normal per-engine recovery runs. The recovered
@@ -149,11 +149,10 @@ class EngineShard
 
     /**
      * Torn-epoch recovery, between crash() and the engine's
-     * recover(): roll the device journal back, recompute the
-     * persisted-MAC table for the rolled metadata blocks, restore
-     * the functional plaintext mirror, NV root register and protocol
-     * shadow to the committed baseline — then run the engine's
-     * normal recovery from that (consistent) state.
+     * recover(): roll the device journal back (bytes and seals),
+     * restore the functional plaintext mirror, NV root register and
+     * protocol shadow to the committed baseline — then run the
+     * engine's normal recovery from that (consistent) state.
      */
     mee::RecoveryReport recoverSlice();
 
@@ -177,7 +176,6 @@ class EngineShard
   private:
     void apply(const ShardOp &op);
     void drainList(std::vector<ShardOp> &ops);
-    void rollbackTornEpoch();
     void restorePlaintext();
 
     /** First-write-per-epoch pre-image of the plaintext mirror. */

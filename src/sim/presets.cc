@@ -207,15 +207,6 @@ parsecMultiprogramPairs()
 }
 
 const std::vector<std::string> &
-syntheticBenchmarks()
-{
-    static const std::vector<std::string> order = {
-        "zipfian", "gups", "stream", "kvstore", "chase",
-    };
-    return order;
-}
-
-const std::vector<std::string> &
 specBenchmarks()
 {
     static const std::vector<std::string> order = {

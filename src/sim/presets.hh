@@ -55,9 +55,6 @@ parsecMultiprogramPairs();
 /** The SPEC benchmarks of Figure 8. */
 const std::vector<std::string> &specBenchmarks();
 
-/** The synthetic generator presets, in suite order. */
-const std::vector<std::string> &syntheticBenchmarks();
-
 } // namespace amnt::sim
 
 #endif // AMNT_SIM_PRESETS_HH

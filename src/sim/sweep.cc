@@ -4,6 +4,7 @@
 
 #include "common/env.hh"
 #include "common/thread_pool.hh"
+#include "obs/trace.hh"
 
 namespace amnt::sweep
 {
@@ -49,16 +50,23 @@ parallelFor(std::size_t n,
 {
     if (threads == 0)
         threads = threadCount();
+    // Trace buffers a job opens are keyed by (this call, job index),
+    // so their export order does not depend on which worker ran first.
+    const obs::TraceKey batch = obs::TraceJobScope::nextKey();
+    auto job = [&fn, &batch](std::size_t i) {
+        obs::TraceJobScope scope(batch, i);
+        fn(i);
+    };
     if (threads <= 1 || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(i);
+            job(i);
         return;
     }
     if (static_cast<std::size_t>(threads) > n)
         threads = static_cast<unsigned>(n);
     ThreadPool pool(threads);
     for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
+        pool.submit([&job, i] { job(i); });
     pool.wait();
 }
 

@@ -81,7 +81,9 @@ std::vector<Outcome> run(const std::vector<Job> &jobs,
 /**
  * Run @p fn(0..n-1) on the pool; same determinism contract as run()
  * provided each index works on its own state. Used by harness phases
- * that need more than a RunResult (e.g. functional recovery).
+ * that need more than a RunResult (e.g. functional recovery). Each
+ * fn(i) runs in an obs::TraceJobScope, so trace tracks keep their
+ * serial order at any thread count.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn,

@@ -93,6 +93,105 @@ TEST(NvmDevice, TamperUnwrittenBlock)
     EXPECT_EQ(out[0], 0x01);
 }
 
+TEST(NvmDevice, PersistRecordsSealAndReadReturnsIt)
+{
+    NvmDevice nvm(1 << 20);
+    Block in{};
+    in[7] = 0x77;
+    nvm.persist(0x140, in, 0xfeedULL);
+    Block out;
+    EXPECT_EQ(nvm.readBlock(0x140, out), 0xfeedULL);
+    EXPECT_EQ(out, in);
+    EXPECT_EQ(nvm.writes(), 1ull);
+    EXPECT_EQ(nvm.reads(), 1ull);
+}
+
+TEST(NvmDevice, NeverWrittenBlockHasSealZero)
+{
+    NvmDevice nvm(1 << 20);
+    Block out;
+    EXPECT_EQ(nvm.readBlock(0x300, out), 0ull);
+    EXPECT_EQ(out, Block{});
+}
+
+TEST(NvmDevice, RawWriteAndTamperKeepTheSeal)
+{
+    NvmDevice nvm(1 << 20);
+    Block in{};
+    in[0] = 0x11;
+    nvm.persist(0x40, in, 42);
+
+    Block replay{};
+    replay[0] = 0x22;
+    nvm.writeBlock(0x40, replay);
+    Block out;
+    EXPECT_EQ(nvm.readBlock(0x40, out), 42ull);
+    EXPECT_EQ(out, replay);
+
+    // An all-zero raw write does not reset the seal either.
+    nvm.writeBlock(0x40, Block{});
+    EXPECT_EQ(nvm.readBlock(0x40, out), 42ull);
+
+    EXPECT_TRUE(nvm.tamper(0x40, 5, 0x08));
+    EXPECT_EQ(nvm.readBlock(0x40, out), 42ull);
+    EXPECT_EQ(out[5], 0x08);
+
+    // A raw write or a tamper never seals a block the engine did not
+    // persist.
+    nvm.writeBlock(0x80, in);
+    EXPECT_EQ(nvm.readBlock(0x80, out), 0ull);
+    EXPECT_FALSE(nvm.tamper(0xc0, 0, 0x01));
+    EXPECT_EQ(nvm.readBlock(0xc0, out), 0ull);
+}
+
+TEST(NvmDevice, JournalRollbackRestoresBytesAndSeal)
+{
+    NvmDevice nvm(1 << 20);
+    Block committed{};
+    committed[1] = 0xa1;
+    nvm.persist(0x40, committed, 7);
+    nvm.journalEnable();
+    EXPECT_FALSE(nvm.journalDirty());
+
+    // The open epoch re-persists the present block twice (only the
+    // first write captures a pre-image) and persists a fresh block.
+    Block next{};
+    next[1] = 0xb2;
+    nvm.persist(0x40, next, 8);
+    next[1] = 0xc3;
+    nvm.persist(0x40, next, 9);
+    nvm.persist(0x80, next, 10);
+    EXPECT_TRUE(nvm.journalDirty());
+    EXPECT_EQ(nvm.journalCaptures(), 2ull);
+    EXPECT_EQ(nvm.blocksTouched(), 2ull);
+
+    nvm.journalRollback();
+    EXPECT_FALSE(nvm.journalDirty());
+    EXPECT_EQ(nvm.journalRollbacks(), 1ull);
+    Block out;
+    EXPECT_EQ(nvm.readBlock(0x40, out), 7ull);
+    EXPECT_EQ(out, committed);
+    // The fresh block is erased, not left behind as a zero record.
+    EXPECT_EQ(nvm.blocksTouched(), 1ull);
+    EXPECT_EQ(nvm.readBlock(0x80, out), 0ull);
+    EXPECT_EQ(out, Block{});
+}
+
+TEST(NvmDevice, JournalClearCommitsTheEpoch)
+{
+    NvmDevice nvm(1 << 20);
+    nvm.journalEnable();
+    Block b{};
+    b[2] = 0x5a;
+    nvm.persist(0x40, b, 3);
+    nvm.journalClear();
+    EXPECT_FALSE(nvm.journalDirty());
+    nvm.journalRollback();
+    Block out;
+    EXPECT_EQ(nvm.readBlock(0x40, out), 3ull);
+    EXPECT_EQ(out, b);
+}
+
 TEST(NvmDevice, ForEachBlockInRange)
 {
     NvmDevice nvm(1 << 20);

@@ -5,7 +5,8 @@
  * the AMNT_TRACE_CAP ring bound must hold, one event of every class
  * the workload exercises must appear, and — the zero-cost rule —
  * a traced run must produce bit-identical simulated results to an
- * untraced run of the same seed.
+ * untraced run of the same seed. Track numbering must not depend on
+ * which thread opened its buffer first.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
@@ -247,6 +249,57 @@ TEST_F(TraceConformance, TracingIsObservationOnly)
     // Identical registry snapshots: every counter, histogram summary
     // and latency-derived statistic matches byte for byte.
     EXPECT_EQ(untraced, traced);
+}
+
+TEST_F(TraceConformance, TrackOrderIgnoresWhichJobOpensFirst)
+{
+    enableTrace("amnt_track_order.json");
+    // Job j opens two buffers and tags each buffer's one event with
+    // (j, k), k = its order within the job.
+    auto runJob = [](const obs::TraceKey &batch, std::uint64_t j) {
+        obs::TraceJobScope scope(batch, j);
+        for (std::uint64_t k = 0; k < 2; ++k) {
+            obs::Tracer t;
+            t.instant(obs::EventClass::Op, j, k);
+        }
+    };
+    // Two jobs of one batch on two threads, between two top-level
+    // buffers. The second thread starts after the first has joined,
+    // so @p reversed fixes which job opens its buffers first.
+    auto exportWith = [&](bool reversed) {
+        obs::TraceSession::global().reconfigure();
+        obs::Tracer before;
+        before.instant(obs::EventClass::Crash, 100);
+        const obs::TraceKey batch = obs::TraceJobScope::nextKey();
+        std::thread first([&] { runJob(batch, reversed ? 1 : 0); });
+        first.join();
+        std::thread second([&] { runJob(batch, reversed ? 0 : 1); });
+        second.join();
+        obs::Tracer after;
+        after.instant(obs::EventClass::Crash, 200);
+        return obs::TraceSession::global().exportJson();
+    };
+
+    const std::string forward = exportWith(false);
+    EXPECT_EQ(forward, exportWith(true));
+    // Tracks follow the serial open order: the top-level buffer, job
+    // 0's two, job 1's two, then the buffer opened after the batch.
+    auto track = [&](unsigned tid, const char *name, const char *args) {
+        const std::string rec = std::string("\"name\": \"") + name +
+                                "\"" + ", \"cat\": \"" + name +
+                                "\", \"ph\": \"i\", \"ts\": 0, "
+                                "\"pid\": 0, \"tid\": " +
+                                std::to_string(tid) +
+                                ", \"s\": \"t\", \"args\": " + args;
+        EXPECT_NE(forward.find(rec), std::string::npos)
+            << "missing: " << rec << "\nin:\n" << forward;
+    };
+    track(0, "crash", "{\"a0\": 100, \"a1\": 0}");
+    track(1, "op", "{\"a0\": 0, \"a1\": 0}");
+    track(2, "op", "{\"a0\": 0, \"a1\": 1}");
+    track(3, "op", "{\"a0\": 1, \"a1\": 0}");
+    track(4, "op", "{\"a0\": 1, \"a1\": 1}");
+    track(5, "crash", "{\"a0\": 200, \"a1\": 0}");
 }
 
 } // namespace

@@ -112,6 +112,25 @@ TEST_P(TamperTest, ReplayOfOldCounterDetected)
     EXPECT_GT(rig_->engine->violations(), 0ull);
 }
 
+TEST_P(TamperTest, ZeroedCounterBlockDetected)
+{
+    // An all-zero raw write over a persisted counter block: the
+    // attacker resets the bytes, but only the engine's own persist
+    // re-seals a block, so the fetch still checks against the seal of
+    // the bytes the engine last persisted.
+    const Addr caddr = rig_->engine->map().counterBase();
+    flushMetadataCache();
+    mem::Block persisted;
+    rig_->nvm->peek(caddr, persisted);
+    ASSERT_NE(persisted, mem::Block{})
+        << "test needs a persisted (non-zero) counter block";
+    rig_->nvm->writeBlock(caddr, mem::Block{});
+
+    for (int i = 0; i < 4 && rig_->engine->violations() == 0; ++i)
+        rig_->engine->read(0);
+    EXPECT_GT(rig_->engine->violations(), 0ull);
+}
+
 // Every persistent protocol in the registry is enrolled; registering
 // a new protocol adds its legs here automatically.
 INSTANTIATE_TEST_SUITE_P(
