@@ -24,8 +24,8 @@ resolveOptions(ShardOptions opts)
         opts.epochWrites = envU64("AMNT_SHARD_EPOCH", 1024);
     if (opts.epochWrites == 0)
         opts.epochWrites = 1;
-    if (opts.lanes == 0)
-        opts.lanes = 1;
+    // A lane with no slice to drain would never get a task.
+    opts.lanes = std::clamp(opts.lanes, 1u, opts.slices);
     if (opts.cores == 0)
         opts.cores = 1;
     return opts;
@@ -208,26 +208,23 @@ EngineShard::harvest(std::vector<Cycle> &out)
 ShardedEngine::ShardedEngine(mee::Protocol protocol,
                              const mee::MeeConfig &total,
                              const ShardOptions &opts)
-    : part_(total.dataBytes, resolveOptions(opts).slices),
-      epochWrites_(resolveOptions(opts).epochWrites),
-      cores_(resolveOptions(opts).cores),
+    : opts_(resolveOptions(opts)), part_(total.dataBytes, opts_.slices),
       recordCrypto_(crypto::CryptoSuite::make(
           total.plane, total.keySeed ^ 0xec0cull))
 {
-    const ShardOptions r = resolveOptions(opts);
     // Reads buffer too; bound queue growth on read-only phases.
-    epochOpsCap_ = epochWrites_ * 8;
+    epochOpsCap_ = opts_.epochWrites * 8;
     opsBuffered_ = &stats_.counter("ops_buffered");
     writesBuffered_ = &stats_.counter("writes_buffered");
 
     mee::MeeConfig slice_cfg = total;
     slice_cfg.dataBytes = part_.sliceBytes;
-    for (unsigned i = 0; i < r.slices; ++i)
+    for (unsigned i = 0; i < opts_.slices; ++i)
         shards_.push_back(std::make_unique<EngineShard>(
-            i, protocol, slice_cfg, cores_));
+            i, protocol, slice_cfg, opts_.cores));
 
-    if (r.lanes > 1)
-        pool_ = std::make_unique<ThreadPool>(r.lanes);
+    if (opts_.lanes > 1)
+        pool_ = std::make_unique<ThreadPool>(opts_.lanes);
 }
 
 ShardedEngine::~ShardedEngine()
@@ -260,7 +257,7 @@ ShardedEngine::write(Addr addr, const std::uint8_t *data,
     ++*writesBuffered_;
     ++writesThisEpoch_;
     ++opsThisEpoch_;
-    if (writesThisEpoch_ >= epochWrites_ ||
+    if (writesThisEpoch_ >= opts_.epochWrites ||
         opsThisEpoch_ >= epochOpsCap_)
         closeEpoch();
     return 0;

@@ -83,7 +83,10 @@ struct ShardOptions
      */
     unsigned slices = 0;
 
-    /** Host drain lanes (`--shards=N`). 1 = serial drains. */
+    /**
+     * Host drain lanes (`--shards=N`). 1 = serial drains; capped at
+     * the slice count, since a lane only ever drains whole slices.
+     */
     unsigned lanes = 1;
 
     /**
@@ -273,7 +276,7 @@ class ShardedEngine
     std::uint64_t currentEpoch() const { return currentEpoch_; }
 
     /** Writes per epoch after env resolution. */
-    std::uint64_t epochWrites() const { return epochWrites_; }
+    std::uint64_t epochWrites() const { return opts_.epochWrites; }
 
     const Partition &partition() const { return part_; }
     unsigned sliceCount() const
@@ -305,10 +308,9 @@ class ShardedEngine
         return pool_ != nullptr && fd_ == nullptr;
     }
 
+    ShardOptions opts_; ///< resolved once, at construction
     Partition part_;
-    std::uint64_t epochWrites_;
     std::uint64_t epochOpsCap_;
-    unsigned cores_;
     std::vector<std::unique_ptr<EngineShard>> shards_;
     std::unique_ptr<ThreadPool> pool_;
     fault::FaultDomain *fd_ = nullptr;

@@ -1,8 +1,11 @@
 #include "sim/system.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
+#include "common/env.hh"
 #include "common/log.hh"
 
 namespace amnt::sim
@@ -82,14 +85,14 @@ System::System(const SystemConfig &config) : config_(config)
 
     // AMNT_SHARDS selects the sharded scale-out model (lane count
     // only; the slice partition is a separate, fixed parameter — see
-    // SystemConfig::shards).
-    if (config_.shards == 0) {
-        if (const char *s = std::getenv("AMNT_SHARDS");
-            s != nullptr && s[0] != '\0') {
-            config_.shards = static_cast<unsigned>(
-                std::strtoull(s, nullptr, 10));
-        }
-    }
+    // SystemConfig::shards). Empty means unset. A huge value
+    // saturates instead of wrapping to 0; shard::resolveOptions caps
+    // lanes at the slices.
+    if (const char *s = std::getenv("AMNT_SHARDS");
+        config_.shards == 0 && s != nullptr && s[0] != '\0')
+        config_.shards = static_cast<unsigned>(std::min<std::uint64_t>(
+            envU64("AMNT_SHARDS", 0),
+            std::numeric_limits<unsigned>::max()));
 
     mee::MeeConfig mee_cfg = config.mee;
     if (config_.shards > 0) {

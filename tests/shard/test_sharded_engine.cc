@@ -132,6 +132,18 @@ TEST(ShardedEngine, EpochClosesAtConfiguredWriteCount)
     EXPECT_EQ(eng.committedEpoch(), 1u);
 }
 
+TEST(ShardedEngine, LanesAreCappedAtTheSliceCount)
+{
+    // Checked on the options alone: should the cap ever break, an
+    // engine built with this many lanes would ask for 2^30 threads.
+    shard::ShardOptions so;
+    so.slices = 4;
+    so.lanes = 1u << 30;
+    EXPECT_EQ(shard::resolveOptions(so).lanes, 4u);
+    so.lanes = 0;
+    EXPECT_EQ(shard::resolveOptions(so).lanes, 1u);
+}
+
 TEST(ShardedEngine, LaneCountNeverChangesRegisteredStats)
 {
     // `--shards=N` is execution policy: every simulated statistic —
