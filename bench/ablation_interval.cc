@@ -22,8 +22,7 @@ main(int argc, char **argv)
     JsonSink json(argc, argv, "ablation_interval");
 
     const std::vector<sim::WorkloadConfig> procs = {
-        scaledMp(sim::parsecPreset("bodytrack")),
-        scaledMp(sim::parsecPreset("fluidanimate"))};
+        sim::parsecPreset("bodytrack"), sim::parsecPreset("fluidanimate")};
 
     const std::vector<unsigned> intervals = {8,  16,  32,  64,
                                              128, 256, 1024};

@@ -24,8 +24,7 @@ main(int argc, char **argv)
     JsonSink json(argc, argv, "ablation_tradeoff");
 
     const std::vector<sim::WorkloadConfig> procs = {
-        scaledMp(sim::parsecPreset("bodytrack")),
-        scaledMp(sim::parsecPreset("fluidanimate"))};
+        sim::parsecPreset("bodytrack"), sim::parsecPreset("fluidanimate")};
 
     // Jobs: volatile baseline, leaf, AMNT L2..L5, strict.
     constexpr unsigned kLoLevel = 2, kHiLevel = 5;

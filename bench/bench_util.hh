@@ -81,26 +81,15 @@ benchWarmup()
 /**
  * Scale a preset's footprint down so scaled-down instruction counts
  * still revisit their working set (the paper runs 1B+ instructions;
- * we default to 2M measured).
+ * we default to 2M measured). Multiprogram harnesses pass presets at
+ * full size: the interference effects of Figures 5-7 only appear
+ * when the combined hot sets compete for (and overflow) one subtree
+ * region.
  */
 inline sim::WorkloadConfig
 scaled(sim::WorkloadConfig w)
 {
     const std::uint64_t divisor = envU64("AMNT_BENCH_SCALE", 4);
-    w.footprintPages =
-        std::max<std::uint64_t>(256, w.footprintPages / divisor);
-    return w;
-}
-
-/**
- * Multiprogram footprints stay at full size: the interference
- * effects of Figures 5-7 only appear when the combined hot sets
- * compete for (and overflow) one subtree region.
- */
-inline sim::WorkloadConfig
-scaledMp(sim::WorkloadConfig w)
-{
-    const std::uint64_t divisor = envU64("AMNT_BENCH_SCALE_MP", 1);
     w.footprintPages =
         std::max<std::uint64_t>(256, w.footprintPages / divisor);
     return w;
@@ -245,22 +234,6 @@ makeJob(sim::SystemConfig cfg,
         std::uint64_t warmup)
 {
     return sweep::Job{std::move(cfg), std::move(procs), instr, warmup};
-}
-
-/**
- * Run one configuration serially, in place. Kept for callers outside
- * the harnesses (tests, examples); the harnesses themselves batch
- * through sweepConfigs().
- */
-inline sim::RunResult
-runConfig(sim::SystemConfig cfg,
-          const std::vector<sim::WorkloadConfig> &procs,
-          std::uint64_t instr, std::uint64_t warmup)
-{
-    sim::System sys(cfg);
-    for (const auto &w : procs)
-        sys.addProcess(w);
-    return sys.run(instr, warmup);
 }
 
 /** AMNT_BENCH_STATS: embed registry snapshots in JSON rows. */

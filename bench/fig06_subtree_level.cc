@@ -25,8 +25,7 @@ main(int argc, char **argv)
     std::vector<sweep::Job> jobs;
     for (const auto &[a, b] : pairs) {
         const std::vector<sim::WorkloadConfig> procs = {
-            scaledMp(sim::parsecPreset(a)),
-            scaledMp(sim::parsecPreset(b))};
+            sim::parsecPreset(a), sim::parsecPreset(b)};
         jobs.push_back(makeJob(paperSystem(mee::Protocol::Volatile, 2),
                                procs, instr, warmup));
         for (unsigned level = kLoLevel; level <= kHiLevel; ++level) {

@@ -24,8 +24,7 @@ main(int argc, char **argv)
     std::vector<sweep::Job> jobs;
     for (const auto &[a, b] : pairs) {
         const std::vector<sim::WorkloadConfig> procs = {
-            scaledMp(sim::parsecPreset(a)),
-            scaledMp(sim::parsecPreset(b))};
+            sim::parsecPreset(a), sim::parsecPreset(b)};
         for (unsigned level = kLoLevel; level <= kHiLevel; ++level) {
             sim::SystemConfig cfg = paperSystem(mee::Protocol::Amnt, 2);
             cfg.mee.amntSubtreeLevel = level;

@@ -25,8 +25,7 @@ main(int argc, char **argv)
     std::vector<sweep::Job> jobs;
     for (const auto &[a, b] : pairs) {
         const std::vector<sim::WorkloadConfig> procs = {
-            scaledMp(sim::parsecPreset(a)),
-            scaledMp(sim::parsecPreset(b))};
+            sim::parsecPreset(a), sim::parsecPreset(b)};
         sim::SystemConfig plain = paperSystem(mee::Protocol::Amnt, 2);
         jobs.push_back(makeJob(plain, procs, instr, warmup));
         sim::SystemConfig pp = plain;

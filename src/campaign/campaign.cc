@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/env.hh"
 #include "common/log.hh"
 
 namespace amnt::campaign
@@ -25,24 +24,9 @@ formatDouble(double v)
 CampaignConfig
 pinnedConfig()
 {
-    // The checked-in artifact geometry. Deliberately fixed here (not
-    // read from the environment): the pin test and the CLI's default
-    // regeneration path must agree byte-for-byte.
+    // The checked-in artifact geometry: the pin test and the CLI's
+    // default regeneration path must agree byte-for-byte.
     return CampaignConfig{};
-}
-
-CampaignConfig
-applyEnv(CampaignConfig cfg)
-{
-    cfg.seed = envU64("AMNT_CAMPAIGN_SEED", cfg.seed);
-    cfg.ops = static_cast<unsigned>(envU64("AMNT_CAMPAIGN_OPS", cfg.ops));
-    cfg.dataBytes =
-        envU64("AMNT_CAMPAIGN_DATA_MB", cfg.dataBytes >> 20) << 20;
-    cfg.tenants = static_cast<unsigned>(
-        envU64("AMNT_CAMPAIGN_TENANTS", cfg.tenants));
-    cfg.crashAfter = static_cast<unsigned>(
-        envU64("AMNT_CAMPAIGN_CRASH_AFTER", cfg.crashAfter));
-    return cfg;
 }
 
 Histogram

@@ -85,12 +85,6 @@ struct CampaignConfig
 /** The checked-in artifact geometry (results/campaign_*.json). */
 CampaignConfig pinnedConfig();
 
-/**
- * Apply AMNT_CAMPAIGN_{SEED,OPS,DATA_MB,TENANTS,CRASH_AFTER} over
- * @p cfg (strict envU64 parsing; unset keeps the field).
- */
-CampaignConfig applyEnv(CampaignConfig cfg);
-
 /** Canonical latency-histogram geometry every campaign phase uses. */
 Histogram latencyHistogram();
 

@@ -259,13 +259,6 @@ class ProtocolStrategy
     MemoryEngine *eng_ = nullptr;
 };
 
-/**
- * Strategy factory for the mee-layer protocols (everything except
- * AMNT, which lives in the core layer — see the protocol registry).
- */
-std::unique_ptr<ProtocolStrategy>
-makeStrategy(Protocol p, const MeeConfig &config);
-
 } // namespace amnt::mee
 
 #endif // AMNT_MEE_PROTOCOL_HH

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/bitops.hh"
-#include "common/env.hh"
 #include "common/log.hh"
 #include "core/amnt.hh"
 #include "obs/registry.hh"
@@ -16,12 +15,7 @@ ShardOptions
 resolveOptions(ShardOptions opts)
 {
     if (opts.slices == 0)
-        opts.slices =
-            static_cast<unsigned>(envU64("AMNT_SHARD_SLICES", 4));
-    if (opts.slices == 0)
         opts.slices = 1;
-    if (opts.epochWrites == 0)
-        opts.epochWrites = envU64("AMNT_SHARD_EPOCH", 1024);
     if (opts.epochWrites == 0)
         opts.epochWrites = 1;
     // A lane with no slice to drain would never get a task.

@@ -12,12 +12,12 @@
  *     data range is always split into `slices` equal slices, each a
  *     full mee::MemoryEngine with its own metadata cache, counter
  *     table, BMT subtree and NvmDevice. The slice count is a model
- *     parameter (AMNT_SHARD_SLICES, default 4) — it defines the
+ *     parameter (ShardOptions::slices, default 4) — it defines the
  *     simulated machine.
  *
- *  2. Host drain lanes (`--shards=N` / AMNT_SHARDS): how many host
- *     threads drain slice queues in parallel. Lanes are pure
- *     execution policy — each slice's operation sequence is the
+ *  2. Host drain lanes (`--shards=N`): how many host threads
+ *     drain slice queues in parallel. Lanes are pure execution
+ *     policy — each slice's operation sequence is the
  *     global arrival order restricted to that slice, independent of
  *     lane count, so results are byte-identical at any shard count.
  *
@@ -77,11 +77,10 @@ namespace amnt::shard
 struct ShardOptions
 {
     /**
-     * Logical slice count (the model parameter). 0 resolves
-     * AMNT_SHARD_SLICES, default 4. Changing it changes the
-     * simulated machine; changing `lanes` never does.
+     * Logical slice count (the model parameter). Changing it changes
+     * the simulated machine; changing `lanes` never does.
      */
-    unsigned slices = 0;
+    unsigned slices = 4;
 
     /**
      * Host drain lanes (`--shards=N`). 1 = serial drains; capped at
@@ -89,11 +88,8 @@ struct ShardOptions
      */
     unsigned lanes = 1;
 
-    /**
-     * Buffered writes per epoch before the coordinator closes it.
-     * 0 resolves AMNT_SHARD_EPOCH, default 1024.
-     */
-    std::uint64_t epochWrites = 0;
+    /** Buffered writes per epoch before the coordinator closes it. */
+    std::uint64_t epochWrites = 1024;
 
     /** Cores feeding the engine (per-core latency accumulators). */
     unsigned cores = 1;
@@ -331,7 +327,10 @@ class ShardedEngine
     std::uint64_t inflightEpoch_ = 0;
 };
 
-/** Resolve ShardOptions defaults (AMNT_SHARD_SLICES/AMNT_SHARD_EPOCH). */
+/**
+ * Clamp every ShardOptions count to at least 1, and lanes to the
+ * slice count.
+ */
 ShardOptions resolveOptions(ShardOptions opts);
 
 } // namespace amnt::shard

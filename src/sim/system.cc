@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 
-#include "common/env.hh"
 #include "common/log.hh"
 
 namespace amnt::sim
@@ -82,17 +80,6 @@ System::System(const SystemConfig &config) : config_(config)
         fatal("system needs at least one core");
     if (config_.traceRecordPath.empty())
         config_.traceRecordPath = envRecordPath();
-
-    // AMNT_SHARDS selects the sharded scale-out model (lane count
-    // only; the slice partition is a separate, fixed parameter — see
-    // SystemConfig::shards). Empty means unset. A huge value
-    // saturates instead of wrapping to 0; shard::resolveOptions caps
-    // lanes at the slices.
-    if (const char *s = std::getenv("AMNT_SHARDS");
-        config_.shards == 0 && s != nullptr && s[0] != '\0')
-        config_.shards = static_cast<unsigned>(std::min<std::uint64_t>(
-            envU64("AMNT_SHARDS", 0),
-            std::numeric_limits<unsigned>::max()));
 
     mee::MeeConfig mee_cfg = config.mee;
     if (config_.shards > 0) {
@@ -267,9 +254,8 @@ System::step(Core &c, unsigned idx)
     c.cycles += config_.baseCpi;
     ++c.refGap;
 
-    // Timed trace replay drives issue off the recorded instruction
-    // gaps; generators (and untimed v1 traces) are gated by the
-    // workload's memory intensity.
+    // Trace replay drives issue off the recorded instruction gaps;
+    // generators are gated by the workload's memory intensity.
     if (c.workload->timedReplay()) {
         if (!c.workload->replayTick())
             return;

@@ -45,17 +45,18 @@ struct SystemConfig
 
     /**
      * Sharded scale-out (shard/sharded_engine.hh): 0 keeps the
-     * single-engine legacy path (unless AMNT_SHARDS overrides it at
-     * construction); N >= 1 runs the sharded model with N host drain
-     * lanes. The logical slice partition is fixed by
-     * shardOptions.slices (default AMNT_SHARD_SLICES = 4)
-     * independent of N, so simulated results are byte-identical at
-     * any shard count — `--shards=1` is the sharded model on one
-     * lane, not the legacy engine.
+     * single-engine legacy path; N >= 1 runs the sharded model with
+     * N host drain lanes. The logical slice partition is fixed by
+     * shardOptions.slices (default 4) independent of N, so simulated
+     * results are byte-identical at any shard count — `--shards=1`
+     * is the sharded model on one lane, not the legacy engine.
      */
     unsigned shards = 0;
 
-    /** Slice/epoch knobs for the sharded engine (0 = env default). */
+    /**
+     * Slice/epoch knobs for the sharded engine; its lanes and cores
+     * come from `shards` and `cores`.
+     */
     shard::ShardOptions shardOptions;
 
     /** Private cache levels per core (L1 first). */

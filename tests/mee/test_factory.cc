@@ -35,13 +35,6 @@ TEST(Factory, ProtocolNamesMatchFigureLabels)
     EXPECT_STREQ(protocolName(mee::Protocol::Stit), "stit");
 }
 
-TEST(Factory, MeeLayerFactoryRejectsAmnt)
-{
-    const mee::MeeConfig cfg = test::smallConfig();
-    EXPECT_EXIT(mee::makeStrategy(mee::Protocol::Amnt, cfg),
-                ::testing::ExitedWithCode(1), "core::makeEngine");
-}
-
 TEST(Factory, EngineRejectsUndersizedDevice)
 {
     const mee::MeeConfig cfg = test::smallConfig();

@@ -3,18 +3,15 @@
  * Shard-invariance pins at the system level: the `--shards=N` lane
  * count is pure execution policy, so a full-system run — registry
  * dump included — must be byte-identical at shard counts 1, 2 and 4,
- * under any sweep thread count, and the checked-in campaign
- * artifacts must not move either. Also pins the AMNT_SHARDS
- * environment override and the engine()-on-sharded-system guard.
+ * under any sweep thread count. Also pins the engine()-on-sharded-
+ * system guard.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "campaign/campaign.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -24,28 +21,13 @@ using namespace amnt;
 namespace
 {
 
-/** Set/unset an environment variable for one scope. */
-struct EnvScope
-{
-    EnvScope(const char *name, const char *value) : name_(name)
-    {
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvScope() { ::unsetenv(name_); }
-    const char *name_;
-};
-
 sim::SystemConfig
 shardedConfig(mee::Protocol p, unsigned shards)
 {
     sim::SystemConfig cfg = sim::SystemConfig::singleProgram(p);
     cfg.shards = shards;
     // Pin the slice partition explicitly: the invariance contract is
-    // "same machine, different lane count", so the machine parameter
-    // must not float on AMNT_SHARD_SLICES.
+    // "same machine, different lane count".
     cfg.shardOptions.slices = 4;
     return cfg;
 }
@@ -114,45 +96,6 @@ TEST(ShardInvariance, SweepStatsIdenticalAcrossShardsAndThreads)
                 << "threads " << threads << " job " << i;
         }
     }
-}
-
-TEST(ShardInvariance, CampaignArtifactsImmuneToShardEnv)
-{
-    // Campaign reports drive protocol engines directly; AMNT_SHARDS
-    // must not leak into them from the environment, at any worker
-    // thread count — the checked-in results/campaign_*.json cannot
-    // move when CI turns the sharded leg on.
-    campaign::CampaignConfig cfg;
-    cfg.ops = 400;
-    cfg.crashAfter = 11;
-    std::string baseline;
-    for (const char *shards : {(const char *)nullptr, "1", "4"}) {
-        EnvScope env("AMNT_SHARDS", shards);
-        for (unsigned threads : {1u, 8u}) {
-            campaign::CampaignConfig c = cfg;
-            c.threads = threads;
-            const std::string json =
-                campaign::runCampaign("adversarial", c).toJson();
-            if (baseline.empty())
-                baseline = json;
-            EXPECT_EQ(json, baseline)
-                << "AMNT_SHARDS=" << (shards ? shards : "(unset)")
-                << " threads " << threads;
-        }
-    }
-}
-
-TEST(ShardInvariance, EnvOverrideEnablesShardedModel)
-{
-    EnvScope env("AMNT_SHARDS", "2");
-    sim::SystemConfig cfg =
-        sim::SystemConfig::singleProgram(mee::Protocol::Leaf);
-    cfg.shardOptions.slices = 4;
-    ASSERT_EQ(cfg.shards, 0u); // config leaves it to the env
-    sim::System system(cfg);
-    ASSERT_NE(system.sharded(), nullptr);
-    EXPECT_EQ(system.sharded()->sliceCount(), 4u);
-    EXPECT_EQ(system.amnt(), nullptr);
 }
 
 TEST(ShardInvarianceDeath, LegacyEngineAccessorRefusesShardedSystem)

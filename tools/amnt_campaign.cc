@@ -17,18 +17,18 @@
  * "results"). --protocol restricts the report to one protocol (a
  * debugging aid; pinned artifacts always carry all rows).
  *
- * Environment: AMNT_CAMPAIGN_{SEED,OPS,DATA_MB,TENANTS,CRASH_AFTER}
- * apply before the flags (flags win). AMNT_SWEEP_THREADS applies when
- * --threads is 0.
+ * AMNT_SWEEP_THREADS applies when --threads is 0.
  */
 
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "common/env.hh"
 #include "common/log.hh"
 #include "core/protocol_registry.hh"
 
@@ -42,25 +42,20 @@ struct Options
     std::string campaign = "all";
     std::string protocol;
     std::string json = "results";
-    campaign::CampaignConfig cfg =
-        campaign::applyEnv(campaign::pinnedConfig());
+    campaign::CampaignConfig cfg = campaign::pinnedConfig();
     bool list = false;
 };
 
-std::uint64_t
-parseU64(const std::string &value, const char *flag)
+/** --flag=N stored in an `unsigned` field. */
+unsigned
+flagUnsigned(const char *flag, const std::string &text)
 {
-    std::uint64_t v = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            fatal("%s wants a decimal integer, got '%s'", flag,
-                  value.c_str());
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (value.empty())
-        fatal("%s wants a decimal integer", flag);
-    return v;
+    return static_cast<unsigned>(flagU64(
+        flag, text.c_str(), std::numeric_limits<unsigned>::max()));
 }
+
+/** Largest --data-mb whose byte count (`<< 20`) fits in 64 bits. */
+constexpr std::uint64_t kMaxDataMb = (1ull << 44) - 1;
 
 Options
 parse(int argc, char **argv)
@@ -84,31 +79,29 @@ parse(int argc, char **argv)
             take("--protocol", o.protocol) || take("--json", o.json))
             continue;
         if (take("--seed", num)) {
-            o.cfg.seed = parseU64(num, "--seed");
+            o.cfg.seed = flagU64("--seed", num.c_str());
             continue;
         }
         if (take("--ops", num)) {
-            o.cfg.ops =
-                static_cast<unsigned>(parseU64(num, "--ops"));
+            o.cfg.ops = flagUnsigned("--ops", num);
             continue;
         }
         if (take("--data-mb", num)) {
-            o.cfg.dataBytes = parseU64(num, "--data-mb") << 20;
+            o.cfg.dataBytes = flagU64("--data-mb", num.c_str(),
+                                      kMaxDataMb)
+                              << 20;
             continue;
         }
         if (take("--tenants", num)) {
-            o.cfg.tenants =
-                static_cast<unsigned>(parseU64(num, "--tenants"));
+            o.cfg.tenants = flagUnsigned("--tenants", num);
             continue;
         }
         if (take("--crash-after", num)) {
-            o.cfg.crashAfter = static_cast<unsigned>(
-                parseU64(num, "--crash-after"));
+            o.cfg.crashAfter = flagUnsigned("--crash-after", num);
             continue;
         }
         if (take("--threads", num)) {
-            o.cfg.threads =
-                static_cast<unsigned>(parseU64(num, "--threads"));
+            o.cfg.threads = flagUnsigned("--threads", num);
             continue;
         }
         fatal("unknown option '%s'", arg.c_str());

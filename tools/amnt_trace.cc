@@ -29,6 +29,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/env.hh"
@@ -55,24 +56,9 @@ struct Options
     std::uint64_t instr = 100'000;
     std::uint64_t warmup = 0;
 
-    /** 0 = legacy engine (unless AMNT_SHARDS); N = sharded lanes. */
-    std::uint64_t shards = 0;
+    /** 0 = legacy engine; N = sharded lanes. */
+    unsigned shards = 0;
 };
-
-std::uint64_t
-parseU64(const std::string &value, const char *flag)
-{
-    std::uint64_t v = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            fatal("%s wants a decimal integer, got '%s'", flag,
-                  value.c_str());
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (value.empty())
-        fatal("%s wants a decimal integer", flag);
-    return v;
-}
 
 Options
 parse(int argc, char **argv)
@@ -95,15 +81,17 @@ parse(int argc, char **argv)
             take("--out", o.out) || take("--stats", o.stats))
             continue;
         if (take("--instr", num)) {
-            o.instr = parseU64(num, "--instr");
+            o.instr = flagU64("--instr", num.c_str());
             continue;
         }
         if (take("--warmup", num)) {
-            o.warmup = parseU64(num, "--warmup");
+            o.warmup = flagU64("--warmup", num.c_str());
             continue;
         }
         if (take("--shards", num)) {
-            o.shards = parseU64(num, "--shards");
+            o.shards = static_cast<unsigned>(flagU64(
+                "--shards", num.c_str(),
+                std::numeric_limits<unsigned>::max()));
             continue;
         }
         fatal("unknown option '%s'", arg.c_str());
@@ -132,11 +120,11 @@ runSim(const Options &o, const std::string &record_path,
     // name dies listing core::protocolNameList().
     sim::SystemConfig cfg = sim::SystemConfig::singleProgram(
         core::protocolByName(o.protocol));
-    cfg.mee.dataBytes = envU64("AMNT_TRACE_DATA_BYTES", 1ull << 30);
+    cfg.mee.dataBytes = 1ull << 30;
     cfg.traceRecordPath = record_path;
     // Sharded scale-out: the stats dump stays byte-identical at any
     // --shards value (CI diffs a 1-lane against a 4-lane replay).
-    cfg.shards = static_cast<unsigned>(o.shards);
+    cfg.shards = o.shards;
 
     // Replay keeps the named workload's parameters so the pre-ROI
     // hot-page initialization (and with it the page-table and
@@ -183,8 +171,7 @@ info(const Options &o)
     if (!reader.ok())
         fatal("%s", reader.error().c_str());
     std::printf("trace:        %s\n", o.trace.c_str());
-    std::printf("format:       v%u (%s)\n", reader.version(),
-                reader.timed() ? "timed" : "untimed");
+    std::printf("format:       v%u\n", reader.version());
     std::printf("records:      %llu\n",
                 static_cast<unsigned long long>(
                     reader.recordsRead()));
